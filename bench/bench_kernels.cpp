@@ -13,6 +13,8 @@
  *   bench_kernels --json=out.json  # custom output path
  *   bench_kernels --quick          # fewer repetitions (CI smoke)
  *   bench_kernels --density-sweep  # static-vs-measured policy sweep
+ *   bench_kernels --shapes         # served-model layers only: measured
+ *                                  # vs cost-model-predicted ms
  *
  * The JSON payload records old-vs-new GMAC/s (effective dense MACs per
  * second), the speedup ratio, a per-ISA GMAC/s table at the 256^3/60%
@@ -23,8 +25,11 @@
  * static vs measured stream/gather dispatch policy
  * (core/kernel_cost_model.h) across activation densities - the CI gate
  * asserts the measured policy never loses more than noise to the
- * static rule at any density. See README.md ("Bench JSON schema") for
- * the field list.
+ * static rule at any density. --shapes instead times aqsGemm on the
+ * real operands of the served llama32_1b stack (N = 512, one prefill
+ * round) and bertBase (N = 8) and records, per layer, the measured ms
+ * next to what the stream/gather cost model predicted for the same
+ * pass choices. See README.md ("Bench JSON schema") for the field list.
  */
 
 #include <algorithm>
@@ -40,7 +45,11 @@
 #include "core/aqs_gemm.h"
 #include "core/kernel_cost_model.h"
 #include "core/legacy_gemm.h"
+#include "core/operand_pack.h"
+#include "core/pair_pass.h"
+#include "models/model_zoo.h"
 #include "quant/gemm_quant.h"
+#include "serve/served_model.h"
 #include "slicing/rle.h"
 #include "slicing/slice_tensor.h"
 #include "util/cpu_features.h"
@@ -59,6 +68,7 @@ struct BenchOptions
     int maxReps = 25;
     bool quick = false;
     bool densitySweep = false;
+    bool shapes = false;
 };
 
 MatrixI32
@@ -190,6 +200,203 @@ runCase(const BenchOptions &opt, std::size_t dim, int sparsity_pct)
     return res;
 }
 
+/** One served model layer timed on its real operands (--shapes). */
+struct ShapeResult
+{
+    std::string model;
+    std::string layer;
+    std::size_t m = 0, k = 0, n = 0;
+    int v = 0;
+    std::size_t wLevels = 0, xLevels = 0;
+    double ms1t = 0.0;   ///< single-thread best-of
+    double msPool = 0.0; ///< best-of at the full pool width
+    std::uint64_t executed = 0; ///< executed outer products
+    std::uint64_t streamPasses = 0, gatherPasses = 0;
+    bool predicted = false; ///< the cost model had measured costs
+    double predictedMs = 0.0;
+    bool parity = false;
+
+    double psPerOp() const { return ms1t * 1e9 / executed; }
+    double ratio() const { return ms1t / predictedMs; }
+};
+
+/**
+ * What the stream/gather cost model predicts one aqsGemm call costs on
+ * a single thread: per (m-group, n-group) tile, every pair pass the
+ * kernel runs is priced as stream_ps_per_pair * pairCount(kk) when the
+ * call's StreamDecision streams it, else gather_ps_per_step * nk - the
+ * same per-pass choice the kernel makes. Fills the prediction and
+ * pass-count fields of `res`.
+ */
+void
+predictLayer(const WeightOperand &w, const ActivationOperand &x,
+             const AqsConfig &cfg, ShapeResult &res)
+{
+    const std::size_t kk = w.sliced.cols();
+    const std::size_t uv = static_cast<std::size_t>(cfg.v);
+    const std::size_t m_groups = w.sliced.rows() / uv;
+    const std::size_t n_groups = x.sliced.cols() / uv;
+    const std::uint64_t kkp = detail::pairCount(kk);
+    const detail::PairPassKernels &kern =
+        detail::pairPassKernels(activeIsaLevel());
+    const detail::StreamDecision sd = detail::streamDecision(
+        kern.level, cfg.v == 4 ? detail::KernelFamily::Pass4
+                               : detail::KernelFamily::Generic);
+    const bool stream_ok = sd.policy != StreamPolicy::Gather &&
+                           detail::streamKernelsRunnable(kern, cfg.v);
+    const bool x_identity = cfg.actSkip == ActSkipMode::None;
+    const detail::SkipLists xd =
+        x_identity ? detail::SkipLists{} : detail::buildSkipLists(x.hoMask);
+    const std::size_t words = detail::bitsetWords(kk);
+    std::vector<std::uint64_t> wbits(words);
+    std::vector<std::uint32_t> wlist(kk);
+
+    std::uint64_t ps = 0;
+    auto pass = [&](std::uint64_t nk, std::uint64_t count) {
+        if (stream_ok && sd.profitable(nk, kk)) {
+            ps += count * sd.stream_ps_per_pair * kkp;
+            res.streamPasses += count;
+        } else {
+            ps += count * sd.gather_ps_per_step * nk;
+            res.gatherPasses += count;
+        }
+    };
+    const std::uint64_t lo_lo = (res.wLevels - 1) * (res.xLevels - 1);
+    for (std::size_t mg = 0; mg < m_groups; ++mg) {
+        const std::uint64_t nwd = detail::denseStepsOfRow(
+            w.hoMask.row(mg).data(), kk, wbits.data(), wlist.data());
+        for (std::size_t ng = 0; ng < n_groups; ++ng) {
+            std::uint64_t nxd = kk, nboth = nwd;
+            if (!x_identity) {
+                nxd = xd.count(ng);
+                nboth = detail::bitsetAndCount(xd.bitset(ng),
+                                               wbits.data(), words);
+            }
+            pass(kk, lo_lo);
+            pass(nwd, res.xLevels - 1);
+            pass(nxd, res.wLevels - 1);
+            pass(nboth, 1);
+        }
+    }
+    res.predicted = sd.policy == StreamPolicy::Measured && sd.measured;
+    res.predictedMs = static_cast<double>(ps) * 1e-9;
+}
+
+/** Runs every layer of `spec` (all of them once, in stack order) on
+ *  `columns` token columns, timing aqsGemm on each layer's real
+ *  prepared operand. */
+void
+runModelShapes(const BenchOptions &opt, const ModelSpec &spec,
+               std::size_t columns, std::vector<ShapeResult> &out)
+{
+    const serve::ServeModelOptions so;
+    const serve::ServedModel model = serve::ServedModel::build(spec, so);
+    // One timed call per point under --quick: a llama32_1b layer runs
+    // for seconds on a scalar-only CI core.
+    BenchOptions topt = opt;
+    if (opt.quick)
+        topt.maxReps = 1;
+    const int pool = parallelThreads();
+    const std::size_t uv = static_cast<std::size_t>(so.v);
+
+    Rng rng(23);
+    MatrixF x(model.inputFeatures(), columns);
+    for (float &e : x.data())
+        e = static_cast<float>(rng.gaussian(0.2, 1.0));
+    const std::size_t offsets[2] = {0, columns / uv};
+
+    for (std::size_t l = 0; l < model.layerCount(); ++l) {
+        const AqsLinearLayer &layer = model.layer(l);
+        const ActivationOperand op = model.prepareStepInput(l, x);
+        const WeightOperand &w = layer.weights();
+        const AqsConfig &cfg = layer.config();
+
+        ShapeResult r;
+        r.model = spec.name;
+        r.layer = spec.layers[l].name;
+        r.m = w.sliced.rows();
+        r.k = w.sliced.cols();
+        r.n = op.sliced.cols();
+        r.v = cfg.v;
+        r.wLevels = w.sliced.levels();
+        r.xLevels = op.sliced.levels();
+
+        setParallelThreads(1);
+        AqsStats st1;
+        const MatrixI64 acc1 = aqsGemm(w, op, cfg, &st1);
+        r.ms1t = timeMs(topt, [&] { aqsGemm(w, op, cfg); });
+        setParallelThreads(pool);
+        AqsStats stp;
+        r.parity = aqsGemm(w, op, cfg, &stp) == acc1 &&
+                   stp.executedOuterProducts == st1.executedOuterProducts &&
+                   st1.executedOuterProducts ==
+                       aqsCountStats(w, op, cfg).executedOuterProducts;
+        r.msPool = timeMs(topt, [&] { aqsGemm(w, op, cfg); });
+        r.executed = st1.executedOuterProducts;
+        predictLayer(w, op, cfg, r);
+        out.push_back(r);
+        char pred[32] = "        -        -";
+        if (r.predicted)
+            std::snprintf(pred, sizeof pred, "%9.2f  %6.2fx",
+                          r.predictedMs, r.ratio());
+        std::printf("  %-12s %-10s %5zu %5zu %4zu  %9.2f  %9.2f  %8.1f  "
+                    "%s  %6llu/%-6llu %s\n",
+                    r.model.c_str(), r.layer.c_str(), r.m, r.k, r.n,
+                    r.ms1t, r.msPool, r.psPerOp(), pred,
+                    static_cast<unsigned long long>(r.streamPasses),
+                    static_cast<unsigned long long>(r.gatherPasses),
+                    r.parity ? "yes" : "NO");
+
+        x = model.forwardPreparedStep(l, op, offsets).next;
+    }
+}
+
+/** --shapes: the served llama32_1b stack at one prefill round's
+ *  N = 512 and bertBase at a decode-sized N = 8. */
+std::vector<ShapeResult>
+runShapes(const BenchOptions &opt)
+{
+    std::vector<ShapeResult> out;
+    std::cout << "per-layer aqsGemm on served-model operands (pool "
+              << parallelThreads() << ", isa: "
+              << toString(activeIsaLevel()) << ", policy: "
+              << toString(activeStreamPolicy()) << ")\n";
+    std::cout << "  model        layer          M     K    N   ms(1t)  "
+                 "ms(pool)  ps/op  pred-ms  meas/pred  stream/gather "
+                 "parity\n";
+    runModelShapes(opt, llama32_1b(), 512, out);
+    runModelShapes(opt, bertBase(), 8, out);
+    return out;
+}
+
+void
+writeShapesJson(std::ostream &out, const std::vector<ShapeResult> &shapes)
+{
+    out << "  \"shapes\": [\n";
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+        const ShapeResult &r = shapes[i];
+        out << "    {\"model\": \"" << r.model << "\", \"layer\": \""
+            << r.layer << "\", \"m\": " << r.m << ", \"k\": " << r.k
+            << ", \"n\": " << r.n << ", \"v\": " << r.v
+            << ", \"w_levels\": " << r.wLevels
+            << ", \"x_levels\": " << r.xLevels
+            << ", \"ms_1t\": " << r.ms1t << ", \"ms_pool\": " << r.msPool
+            << ", \"executed_outer_products\": " << r.executed
+            << ", \"ps_per_op\": " << r.psPerOp()
+            << ", \"stream_passes\": " << r.streamPasses
+            << ", \"gather_passes\": " << r.gatherPasses;
+        if (r.predicted)
+            out << ", \"predicted_ms\": " << r.predictedMs
+                << ", \"measured_over_predicted\": " << r.ratio();
+        else
+            out << ", \"predicted_ms\": null"
+                << ", \"measured_over_predicted\": null";
+        out << ", \"parity\": " << (r.parity ? "true" : "false") << "}"
+            << (i + 1 < shapes.size() ? "," : "") << "\n";
+    }
+    out << "  ]\n";
+}
+
 } // namespace
 
 int
@@ -209,6 +416,8 @@ main(int argc, char **argv)
             opt.quick = true;
         } else if (arg == "--density-sweep") {
             opt.densitySweep = true;
+        } else if (arg == "--shapes") {
+            opt.shapes = true;
         } else {
             std::cerr << "unknown option " << arg << "\n";
             return 2;
@@ -220,6 +429,34 @@ main(int argc, char **argv)
     std::cout << "AQS-GEMM kernel bench (pool threads: " << pool_threads
               << ", isa: " << isa_active
               << ", detected: " << toString(detectedIsaLevel()) << ")\n\n";
+
+    if (opt.shapes) {
+        const std::vector<ShapeResult> shapes = runShapes(opt);
+        bool parity = true;
+        for (const ShapeResult &r : shapes)
+            parity = parity && r.parity;
+        if (opt.writeJson) {
+            std::ofstream out(opt.jsonPath);
+            if (!out) {
+                std::cerr << "cannot write " << opt.jsonPath << "\n";
+                return 1;
+            }
+            out << "{\n  \"bench\": \"kernels_shapes\",\n";
+            out << "  \"pool_threads\": " << pool_threads << ",\n";
+            out << "  \"hardware_concurrency\": "
+                << static_cast<int>(std::thread::hardware_concurrency())
+                << ",\n";
+            out << "  \"isa\": \"" << isa_active << "\",\n";
+            out << "  \"stream_policy\": \""
+                << toString(activeStreamPolicy()) << "\",\n";
+            out << "  \"parity\": " << (parity ? "true" : "false")
+                << ",\n";
+            writeShapesJson(out, shapes);
+            out << "}\n";
+            std::cout << "\nwrote " << opt.jsonPath << "\n";
+        }
+        return parity ? 0 : 1;
+    }
 
     // --- Old vs new, single-threaded (the apples-to-apples compare) ---
     setParallelThreads(1);

@@ -205,28 +205,43 @@ buildActSkipLists(const ActivationOperand &x, const AqsConfig &cfg)
 }
 
 /**
+ * m-groups a band processes together. Each n-group's activation
+ * operand (paired planes and the rows a gather touches) is then read
+ * once per block instead of once per m-group, which matters when an
+ * n-group's operand outgrows the private caches (K = 8192 x 3
+ * activation levels streams ~24 MB per m-group from L3). A constant
+ * chosen by measurement on the served llama32_1b shapes, not an option.
+ */
+constexpr std::size_t kMGroupBlock = 4;
+
+/**
  * The register-blocked kernel body for one contiguous band of m-groups
  * [mg0, mg1). Instantiated with VT = 4 for the paper-default vector
  * length (fixed-size micro-tile, fully unrollable) and VT = 0 for a
  * runtime v (v <= 16).
  *
- * Structure per m-group:
+ * The band walks its m-groups in blocks of kMGroupBlock. Per m-group
+ * of a block:
  *   - pack the v weight rows of every slice plane into a contiguous
  *     [k][i] tile (one strided pass, reused across every n-group);
- *   - build the weight-side skip list (dense k's) from the HO mask.
- * Per (mg, ng) tile:
+ *   - build the weight-side dense-step bitset and skip list from the
+ *     HO mask row in one pass (detail::denseStepsOfRow).
+ * Per n-group, then per m-group of the block, one (mg, ng) tile:
  *   - run one branch-free pair pass (through the ISA-dispatched kernel
  *     table `kern`; see core/pair_pass.h) per (weight-plane,
  *     activation-plane) combination over the matching skip list - all
  *     steps for LO/LO pairs, the weight list for HO_w, the activation
- *     list for HO_x, their intersection for HO_w/HO_x;
+ *     list for HO_x, their intersection for HO_w/HO_x. The
+ *     intersection's length is a popcount of the ANDed bitsets; its
+ *     list is written (ascending, by ctz) only when a gather pass
+ *     reads it;
  *   - merge each int32 pair accumulator into the int64 micro-tile with
  *     its positional shift, add the Eq. (6) compensation, and write the
  *     tile back in one pass.
  * Outer-product counts fall out of the list lengths; no counter or mask
  * test executes inside the hot loops. Bands own disjoint accumulator
  * rows and all counters are exact integer sums, so results and stats
- * are bit-identical for any thread count.
+ * are bit-identical for any thread count or block size.
  */
 template <int VT>
 void
@@ -274,32 +289,42 @@ blockedBand(const WeightOperand &w, const ActivationOperand &x,
         xq != nullptr && detail::streamKernelsRunnable(kern, v);
     const std::size_t kkp = detail::pairCount(kk);
     const std::size_t pw = 2 * uv;
+    const std::size_t words = detail::bitsetWords(kk);
 
-    // Per-band scratch, allocated once and reused for every m-group.
-    std::vector<std::int16_t> wpack(w_levels * kk * uv);
-    std::vector<std::int16_t> wq, wqm;
-    std::vector<std::int32_t> ttpack(r_skip ? kk * uv : 0);
-    std::vector<std::uint32_t> wd, wxd;
-    wd.reserve(kk);
-    wxd.reserve(kk);
+    // Per-m-group operands of one block, allocated once per band and
+    // reused for every block.
+    struct MGroup
+    {
+        std::size_t mg = 0;
+        std::size_t nwd = 0; ///< dense steps of this m-group
+        std::vector<std::uint64_t> wbits;
+        std::vector<std::uint32_t> wd;
+        std::vector<std::int16_t> wpack, wq, wqm;
+        std::vector<std::int32_t> ttpack;
+        std::array<std::int64_t, TV> bprow, ttfull;
+    };
+    std::vector<MGroup> block(std::min(kMGroupBlock, mg1 - mg0));
+    for (MGroup &g : block) {
+        g.wbits.resize(words);
+        g.wd.resize(kk);
+        g.wpack.resize(w_levels * kk * uv);
+        g.ttpack.resize(r_skip ? kk * uv : 0);
+    }
+    std::vector<std::uint32_t> wxd(kk);
     std::array<std::int32_t, TV * TV> pacc;
     std::array<std::int64_t, TV * TV> tile;
-    std::array<std::int64_t, TV> wsum, bprow, ttfull;
+    std::array<std::int64_t, TV> wsum;
 
-    for (std::size_t mg = mg0; mg < mg1; ++mg) {
+    auto prepare = [&](MGroup &g, std::size_t mg) {
         const std::uint8_t *wmask = w.hoMask.row(mg).data();
-
-        // Weight-side skip list: dense reduction steps for this band.
-        wd.clear();
-        for (std::size_t k = 0; k < kk; ++k)
-            if (wmask[k] == 0)
-                wd.push_back(static_cast<std::uint32_t>(k));
-        const bool wd_full = wd.size() == kk;
+        g.mg = mg;
+        g.nwd = detail::denseStepsOfRow(wmask, kk, g.wbits.data(),
+                                        g.wd.data());
 
         // Pack the band's weight rows, widened: wpack[(wl*kk + k)*v + i].
         for (std::size_t wl = 0; wl < w_levels; ++wl) {
             const Slice *base = w.sliced.planes[wl].data.data().data();
-            std::int16_t *dst = wpack.data() + wl * kk * uv;
+            std::int16_t *dst = g.wpack.data() + wl * kk * uv;
             for (int i = 0; i < v; ++i) {
                 const Slice *src =
                     base + (mg * uv + static_cast<std::size_t>(i)) * kk;
@@ -311,8 +336,8 @@ blockedBand(const WeightOperand &w, const ActivationOperand &x,
         // Paired-stream weight operands (unmasked + masked HO when a
         // streamed HO_w pass could read it; see operand_pack.h).
         if (stream_ok)
-            detail::packStreamWeightOperands(w.sliced, mg, v, wmask,
-                                             wd.size(), sd, wq, wqm);
+            detail::packStreamWeightOperands(w.sliced, mg, v, wmask, g.nwd,
+                                             sd, g.wq, g.wqm);
 
         if (r_skip) {
             // Offline term b' = r * 2^shift * row sums of the total
@@ -325,188 +350,192 @@ blockedBand(const WeightOperand &w, const ActivationOperand &x,
                 std::int64_t sum = 0;
                 for (std::size_t k = 0; k < kk; ++k) {
                     sum += src[k];
-                    ttpack[k * uv + static_cast<std::size_t>(i)] = src[k];
+                    g.ttpack[k * uv + static_cast<std::size_t>(i)] = src[k];
                 }
-                ttfull[static_cast<std::size_t>(i)] = sum;
-                bprow[static_cast<std::size_t>(i)] = sum * r_scaled;
+                g.ttfull[static_cast<std::size_t>(i)] = sum;
+                g.bprow[static_cast<std::size_t>(i)] = sum * r_scaled;
             }
         }
+    };
 
-        for (std::size_t ng = 0; ng < n_groups; ++ng) {
-            const std::uint32_t *xlist =
-                xd.identity ? nullptr : xd.list(ng);
-            const std::size_t nxd = xd.identity ? kk : xd.count(ng);
-            const bool xd_full = nxd == kk;
-            const std::size_t ng_off = ng * uv;
+    auto runTile = [&](const MGroup &g, std::size_t ng) {
+        const std::size_t mg = g.mg;
+        const std::size_t nwd = g.nwd;
+        const bool wd_full = nwd == kk;
+        const std::uint32_t *xlist = xd.identity ? nullptr : xd.list(ng);
+        const std::size_t nxd = xd.identity ? kk : xd.count(ng);
+        const bool xd_full = nxd == kk;
+        const std::size_t ng_off = ng * uv;
 
-            // Intersection list for the HO_w x HO_x pair (lazy; only
-            // when both sides actually compress something).
-            const std::uint32_t *both = nullptr;
-            std::size_t nboth = 0;
-            bool both_identity = false;
-            if (wd_full) {
-                both = xlist;
-                nboth = nxd;
-                both_identity = xd.identity || xd_full;
-                if (both_identity) {
-                    both = nullptr;
-                    nboth = kk;
-                }
-            } else if (xd.identity || xd_full) {
-                both = wd.data();
-                nboth = wd.size();
+        // Intersection for the HO_w x HO_x pair (lazy; only when both
+        // sides actually compress something): ANDed dense-step bitsets,
+        // counted by popcount, listed by ctz.
+        const std::uint32_t *both = nullptr;
+        std::size_t nboth = 0;
+        bool both_identity = false;
+        if (wd_full) {
+            both = xlist;
+            nboth = nxd;
+            both_identity = xd.identity || xd_full;
+            if (both_identity) {
+                both = nullptr;
+                nboth = kk;
+            }
+        } else if (xd.identity || xd_full) {
+            both = g.wd.data();
+            nboth = nwd;
+        } else {
+            const std::uint64_t *xbits = xd.bitset(ng);
+            const std::uint64_t *wbits = g.wbits.data();
+            // Count first; materialize the list only when the gather
+            // path will read it (the stream path needs just the count
+            // for stats and the cost decision).
+            if (stream_ok)
+                nboth = detail::bitsetAndCount(xbits, wbits, words);
+            if (stream_ok && sd.profitable(nboth, kk)) {
+                both = nullptr; // stream pass; ks is never read
             } else {
-                if (stream_ok) {
-                    // Count first; materialize the list only when the
-                    // gather path will read it (the stream path needs
-                    // just the count for stats and the cost decision).
-                    nboth = 0;
-                    for (std::size_t t = 0; t < nxd; ++t)
-                        nboth += wmask[xlist[t]] == 0 ? 1 : 0;
-                }
-                if (stream_ok && sd.profitable(nboth, kk)) {
-                    both = nullptr; // stream pass; ks is never read
-                } else {
-                    wxd.clear();
-                    for (std::size_t t = 0; t < nxd; ++t) {
-                        const std::uint32_t k = xlist[t];
-                        if (wmask[k] == 0)
-                            wxd.push_back(k);
-                    }
-                    both = wxd.data();
-                    nboth = wxd.size();
-                }
-            }
-
-            tile.fill(0);
-            std::uint64_t executed = 0;
-
-            for (std::size_t wl = 0; wl < w_levels; ++wl) {
-                const std::int16_t *wp = wpack.data() + wl * kk * uv;
-                const int w_shift = w.sliced.planes[wl].shift;
-                const bool w_is_ho = wl == w_ho;
-                for (std::size_t xl = 0; xl < x_levels; ++xl) {
-                    const std::uint32_t *ks;
-                    std::size_t nk;
-                    bool identity;
-                    const bool x_is_ho = xl == x_ho;
-                    if (w_is_ho && x_is_ho) {
-                        ks = both;
-                        nk = nboth;
-                        identity = both == nullptr;
-                    } else if (w_is_ho) {
-                        ks = wd_full ? nullptr : wd.data();
-                        nk = wd_full ? kk : wd.size();
-                        identity = wd_full;
-                    } else if (x_is_ho) {
-                        ks = (xd.identity || xd_full) ? nullptr : xlist;
-                        nk = nxd;
-                        identity = ks == nullptr;
-                    } else {
-                        ks = nullptr;
-                        nk = kk;
-                        identity = true;
-                    }
-
-                    if (stream_ok && sd.profitable(nk, kk)) {
-                        const std::int16_t *wqp =
-                            (w_is_ho && !wd_full)
-                                ? wqm.data()
-                                : wq.data() + wl * kkp * pw;
-                        const std::int16_t *xqp =
-                            xq + (xl * n_groups + ng) * kkp * pw;
-                        if constexpr (VT == 4)
-                            kern.stream4(wqp, xqp, kkp, pacc.data());
-                        else
-                            kern.streamGeneric(wqp, xqp, kkp, v,
-                                               pacc.data());
-                    } else if constexpr (VT == 4) {
-                        kern.pass4(wp, xbase[xl], n, ng_off, ks, nk,
-                                   identity, pacc.data());
-                    } else {
-                        kern.passGeneric(wp, xbase[xl], n, ng_off, ks,
-                                         nk, identity, v, pacc.data());
-                    }
-                    executed += nk;
-
-                    const int shift = w_shift + xshift[xl];
-                    for (int e = 0; e < v * v; ++e)
-                        tile[static_cast<std::size_t>(e)] +=
-                            static_cast<std::int64_t>(
-                                pacc[static_cast<std::size_t>(e)])
-                            << shift;
-                }
-            }
-
-            local.executedOuterProducts += executed;
-            local.skippedOuterProducts += dense_per_tile - executed;
-
-            if (r_skip) {
-                // Eq. (6): wsum over the weight columns of uncompressed
-                // activation vectors (the CS reuses the slices already
-                // loaded); compensation applied once per output block.
-                // Computed via whichever side of the dense/compressed
-                // partition is shorter - full-sum minus complement is
-                // the same exact int64 value as the direct sum.
-                if (xd.identity || xd_full) {
-                    wsum = ttfull;
-                } else if (2 * nxd >= kk) {
-                    wsum.fill(0);
-                    const std::uint32_t *cl = xd.clist(ng);
-                    const std::size_t nc = xd.ccount(ng);
-                    for (std::size_t t = 0; t < nc; ++t) {
-                        const std::int32_t *tt =
-                            ttpack.data() + cl[t] * uv;
-                        for (int i = 0; i < v; ++i)
-                            wsum[static_cast<std::size_t>(i)] += tt[i];
-                    }
-                    for (int i = 0; i < v; ++i)
-                        wsum[static_cast<std::size_t>(i)] =
-                            ttfull[static_cast<std::size_t>(i)] -
-                            wsum[static_cast<std::size_t>(i)];
-                } else {
-                    wsum.fill(0);
-                    for (std::size_t t = 0; t < nxd; ++t) {
-                        const std::int32_t *tt =
-                            ttpack.data() + xlist[t] * uv;
-                        for (int i = 0; i < v; ++i)
-                            wsum[static_cast<std::size_t>(i)] += tt[i];
-                    }
-                }
-                if (cfg.useEq6) {
-                    local.compAdds += static_cast<std::uint64_t>(nxd) *
-                                      static_cast<std::uint64_t>(v) *
-                                      w_levels;
-                } else {
-                    const std::uint64_t n_xc =
-                        static_cast<std::uint64_t>(kk - nxd);
-                    local.compAdds += n_xc *
-                                      static_cast<std::uint64_t>(v) *
-                                      w_levels;
-                    local.compExtraEmaNibbles +=
-                        n_xc * static_cast<std::uint64_t>(v) * w_levels;
-                }
-                local.compMults += static_cast<std::uint64_t>(v) *
-                                   static_cast<std::uint64_t>(v);
-                for (int i = 0; i < v; ++i) {
-                    const std::int64_t comp =
-                        bprow[static_cast<std::size_t>(i)] -
-                        r_scaled * wsum[static_cast<std::size_t>(i)];
-                    std::int64_t *t = tile.data() + i * v;
-                    for (int j = 0; j < v; ++j)
-                        t[j] += comp;
-                }
-            }
-
-            // Single write-back of the micro-tile.
-            for (int i = 0; i < v; ++i) {
-                std::int64_t *arow =
-                    &acc(mg * uv + static_cast<std::size_t>(i), ng_off);
-                const std::int64_t *t = tile.data() + i * v;
-                for (int j = 0; j < v; ++j)
-                    arow[j] = t[j];
+                nboth = detail::bitsetToList(
+                    words,
+                    [&](std::size_t i) { return xbits[i] & wbits[i]; },
+                    wxd.data());
+                both = wxd.data();
             }
         }
+
+        tile.fill(0);
+        std::uint64_t executed = 0;
+
+        for (std::size_t wl = 0; wl < w_levels; ++wl) {
+            const std::int16_t *wp = g.wpack.data() + wl * kk * uv;
+            const int w_shift = w.sliced.planes[wl].shift;
+            const bool w_is_ho = wl == w_ho;
+            for (std::size_t xl = 0; xl < x_levels; ++xl) {
+                const std::uint32_t *ks;
+                std::size_t nk;
+                bool identity;
+                const bool x_is_ho = xl == x_ho;
+                if (w_is_ho && x_is_ho) {
+                    ks = both;
+                    nk = nboth;
+                    identity = both == nullptr;
+                } else if (w_is_ho) {
+                    ks = wd_full ? nullptr : g.wd.data();
+                    nk = nwd;
+                    identity = wd_full;
+                } else if (x_is_ho) {
+                    ks = (xd.identity || xd_full) ? nullptr : xlist;
+                    nk = nxd;
+                    identity = ks == nullptr;
+                } else {
+                    ks = nullptr;
+                    nk = kk;
+                    identity = true;
+                }
+
+                if (stream_ok && sd.profitable(nk, kk)) {
+                    const std::int16_t *wqp =
+                        (w_is_ho && !wd_full)
+                            ? g.wqm.data()
+                            : g.wq.data() + wl * kkp * pw;
+                    const std::int16_t *xqp =
+                        xq + (xl * n_groups + ng) * kkp * pw;
+                    if constexpr (VT == 4)
+                        kern.stream4(wqp, xqp, kkp, pacc.data());
+                    else
+                        kern.streamGeneric(wqp, xqp, kkp, v, pacc.data());
+                } else if constexpr (VT == 4) {
+                    kern.pass4(wp, xbase[xl], n, ng_off, ks, nk, identity,
+                               pacc.data());
+                } else {
+                    kern.passGeneric(wp, xbase[xl], n, ng_off, ks, nk,
+                                     identity, v, pacc.data());
+                }
+                executed += nk;
+
+                const int shift = w_shift + xshift[xl];
+                for (int e = 0; e < v * v; ++e)
+                    tile[static_cast<std::size_t>(e)] +=
+                        static_cast<std::int64_t>(
+                            pacc[static_cast<std::size_t>(e)])
+                        << shift;
+            }
+        }
+
+        local.executedOuterProducts += executed;
+        local.skippedOuterProducts += dense_per_tile - executed;
+
+        if (r_skip) {
+            // Eq. (6): wsum over the weight columns of uncompressed
+            // activation vectors (the CS reuses the slices already
+            // loaded); compensation applied once per output block.
+            // Computed via whichever side of the dense/compressed
+            // partition is shorter - full-sum minus complement is the
+            // same exact int64 value as the direct sum.
+            if (xd.identity || xd_full) {
+                wsum = g.ttfull;
+            } else if (2 * nxd >= kk) {
+                wsum.fill(0);
+                const std::uint32_t *cl = xd.clist(ng);
+                const std::size_t nc = xd.ccount(ng);
+                for (std::size_t t = 0; t < nc; ++t) {
+                    const std::int32_t *tt = g.ttpack.data() + cl[t] * uv;
+                    for (int i = 0; i < v; ++i)
+                        wsum[static_cast<std::size_t>(i)] += tt[i];
+                }
+                for (int i = 0; i < v; ++i)
+                    wsum[static_cast<std::size_t>(i)] =
+                        g.ttfull[static_cast<std::size_t>(i)] -
+                        wsum[static_cast<std::size_t>(i)];
+            } else {
+                wsum.fill(0);
+                for (std::size_t t = 0; t < nxd; ++t) {
+                    const std::int32_t *tt =
+                        g.ttpack.data() + xlist[t] * uv;
+                    for (int i = 0; i < v; ++i)
+                        wsum[static_cast<std::size_t>(i)] += tt[i];
+                }
+            }
+            if (cfg.useEq6) {
+                local.compAdds += static_cast<std::uint64_t>(nxd) *
+                                  static_cast<std::uint64_t>(v) * w_levels;
+            } else {
+                const std::uint64_t n_xc =
+                    static_cast<std::uint64_t>(kk - nxd);
+                local.compAdds +=
+                    n_xc * static_cast<std::uint64_t>(v) * w_levels;
+                local.compExtraEmaNibbles +=
+                    n_xc * static_cast<std::uint64_t>(v) * w_levels;
+            }
+            local.compMults += static_cast<std::uint64_t>(v) *
+                               static_cast<std::uint64_t>(v);
+            for (int i = 0; i < v; ++i) {
+                const std::int64_t comp =
+                    g.bprow[static_cast<std::size_t>(i)] -
+                    r_scaled * wsum[static_cast<std::size_t>(i)];
+                std::int64_t *t = tile.data() + i * v;
+                for (int j = 0; j < v; ++j)
+                    t[j] += comp;
+            }
+        }
+
+        // Single write-back of the micro-tile.
+        for (int i = 0; i < v; ++i) {
+            std::int64_t *arow =
+                &acc(mg * uv + static_cast<std::size_t>(i), ng_off);
+            const std::int64_t *t = tile.data() + i * v;
+            for (int j = 0; j < v; ++j)
+                arow[j] = t[j];
+        }
+    };
+
+    for (std::size_t mb = mg0; mb < mg1; mb += block.size()) {
+        const std::size_t nb = std::min(block.size(), mg1 - mb);
+        for (std::size_t b = 0; b < nb; ++b)
+            prepare(block[b], mb + b);
+        for (std::size_t ng = 0; ng < n_groups; ++ng)
+            for (std::size_t b = 0; b < nb; ++b)
+                runTile(block[b], ng);
     }
 }
 
@@ -544,11 +573,9 @@ aqsGemm(const WeightOperand &w, const ActivationOperand &x,
     const std::size_t kk = w.sliced.cols();
     const std::size_t n = x.sliced.cols();
 
-    // The int32 pair accumulators are exact while K * max|product|
-    // stays below 2^31 (|slice product| <= 8 * 63), and the blocked
-    // micro-tile is bounded at v <= 16. Fall back to the scalar
-    // reference outside that domain.
-    if (kk >= (std::size_t{1} << 22) || v > 16)
+    // Outside the blocked kernel's exact int32 domain (core/pair_pass.h)
+    // the scalar reference runs instead.
+    if (!detail::aqsBlockedKernelExact(kk, v))
         return aqsGemmReference(w, x, cfg, stats);
 
     const std::size_t m_groups = m / static_cast<std::size_t>(v);

@@ -335,11 +335,9 @@ legacyBitsliceGemm(const SlicedMatrix &w, const SlicedMatrix &x, int v,
 
     MatrixI64 acc(m, n);
 
-    // The int32 pair accumulators are exact while K * max|product|
-    // stays below 2^31 (|slice product| <= 8 * 8); beyond that, and
-    // beyond the static micro-tile bound, the scalar band (int64
-    // accumulation, identical counters) takes over.
-    const bool blocked = v <= 16 && kk < (std::size_t{1} << 25);
+    // Outside the blocked band's exact int32 domain (core/pair_pass.h)
+    // the scalar band (int64 accumulation, identical counters) runs.
+    const bool blocked = detail::legacyBlockedKernelExact(kk, v);
 
     // Operands of the blocked path: activation-side skip lists, the
     // int16 widened activation planes, and the ISA-dispatched

@@ -10,6 +10,8 @@
 #ifndef PANACEA_CORE_OPERAND_PACK_H
 #define PANACEA_CORE_OPERAND_PACK_H
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -21,11 +23,80 @@
 namespace panacea {
 namespace detail {
 
+/** @return 64-bit words of a dense-step bitset over kk steps. */
+inline std::size_t
+bitsetWords(std::size_t kk)
+{
+    return (kk + 63) / 64;
+}
+
+/**
+ * Write the set-bit positions of words[0..n_words) to `out` in
+ * ascending order (bit b of word i is step 64*i + b). `word(i)` yields
+ * word i, so an intersection list is written straight from the ANDed
+ * words without materializing them. @return the number of positions.
+ */
+template <typename WordFn>
+inline std::size_t
+bitsetToList(std::size_t n_words, WordFn word, std::uint32_t *out)
+{
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < n_words; ++i) {
+        for (std::uint64_t bits = word(i); bits != 0; bits &= bits - 1)
+            out[count++] = static_cast<std::uint32_t>(
+                i * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+    }
+    return count;
+}
+
+/** @return popcount(a[i] & b[i]) summed over n_words words. */
+inline std::size_t
+bitsetAndCount(const std::uint64_t *a, const std::uint64_t *b,
+               std::size_t n_words)
+{
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < n_words; ++i)
+        count += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
+    return count;
+}
+
+/**
+ * Dense-step bitset of one weight band's HO mask row (bit k set iff
+ * row[k] == 0; bits past kk stay clear), built branch-free, and the
+ * band's dense-step list written from it. `bits` holds
+ * bitsetWords(kk) words, `list` room for kk entries.
+ * @return the list length.
+ */
+inline std::size_t
+denseStepsOfRow(const std::uint8_t *row, std::size_t kk,
+                std::uint64_t *bits, std::uint32_t *list)
+{
+    const std::size_t n_words = bitsetWords(kk);
+    for (std::size_t i = 0; i < n_words; ++i) {
+        const std::size_t k0 = i * 64;
+        const std::size_t len = std::min<std::size_t>(64, kk - k0);
+        std::uint64_t word = 0;
+        for (std::size_t b = 0; b < len; ++b)
+            word |= static_cast<std::uint64_t>(row[k0 + b] == 0) << b;
+        bits[i] = word;
+    }
+    return bitsetToList(n_words, [bits](std::size_t i) { return bits[i]; },
+                        list);
+}
+
 /**
  * Per-n-group skip lists for the activation side, shared read-only by
  * every band: ks[offsets[ng] .. offsets[ng+1]) are the reduction steps
  * whose HO vector is NOT compressed (dense steps). `identity`
  * short-circuits the indirection when no skipping is active.
+ *
+ * The same dense steps also come as one 64-bit-word bitset per n-group
+ * (bit k of bits[ng * words + k / 64], bits past kk clear). A band ANDs
+ * it with its weight row's bitset (denseStepsOfRow) to get the HO_w x
+ * HO_x intersection word-parallel: its length is a popcount, and the
+ * list, when a gather pass needs it, is written in ascending k by
+ * count-trailing-zeros (bitsetToList) - the same list a merge of the
+ * two skip lists would produce.
  */
 struct SkipLists
 {
@@ -36,6 +107,9 @@ struct SkipLists
     /// iterate whichever side of the partition is shorter.
     std::vector<std::uint32_t> coffsets;
     std::vector<std::uint32_t> cks;
+    /// Dense-step bitsets, `words` = bitsetWords(kk) per n-group.
+    std::size_t words = 0;
+    std::vector<std::uint64_t> bits;
 
     std::size_t
     count(std::size_t ng) const
@@ -57,12 +131,17 @@ struct SkipLists
     {
         return cks.data() + coffsets[ng];
     }
+    const std::uint64_t *
+    bitset(std::size_t ng) const
+    {
+        return bits.data() + ng * words;
+    }
 };
 
 /**
  * Build skip lists from a K x (N/v) compression mask: list ng holds the
  * k with mask(k, ng) == 0, in increasing order (complement list: the
- * k with mask(k, ng) != 0).
+ * k with mask(k, ng) != 0), and bitset ng has exactly those k set.
  */
 inline SkipLists
 buildSkipLists(const MatrixU8 &mask)
@@ -73,12 +152,17 @@ buildSkipLists(const MatrixU8 &mask)
     out.offsets.resize(n_groups + 1, 0);
     out.coffsets.resize(n_groups + 1, 0);
     out.ks.reserve(n_groups * kk);
+    out.words = bitsetWords(kk);
+    out.bits.assign(n_groups * out.words, 0);
     for (std::size_t ng = 0; ng < n_groups; ++ng) {
+        std::uint64_t *bits = out.bits.data() + ng * out.words;
         for (std::size_t k = 0; k < kk; ++k) {
-            if (mask(k, ng) == 0)
+            if (mask(k, ng) == 0) {
                 out.ks.push_back(static_cast<std::uint32_t>(k));
-            else
+                bits[k / 64] |= std::uint64_t{1} << (k % 64);
+            } else {
                 out.cks.push_back(static_cast<std::uint32_t>(k));
+            }
         }
         out.offsets[ng + 1] = static_cast<std::uint32_t>(out.ks.size());
         out.coffsets[ng + 1] = static_cast<std::uint32_t>(out.cks.size());

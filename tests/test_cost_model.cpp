@@ -23,6 +23,7 @@
 #include "core/kernel_cost_model.h"
 #include "core/legacy_gemm.h"
 #include "isa_guard.h"
+#include "policy_guard.h"
 #include "pool_guard.h"
 #include "quant/gemm_quant.h"
 #include "slicing/sbr.h"
@@ -33,17 +34,6 @@
 
 namespace panacea {
 namespace {
-
-/** Drops any setStreamPolicy() override on scope exit. */
-class PolicyGuard
-{
-  public:
-    PolicyGuard() = default;
-    ~PolicyGuard() { resetStreamPolicy(); }
-
-    PolicyGuard(const PolicyGuard &) = delete;
-    PolicyGuard &operator=(const PolicyGuard &) = delete;
-};
 
 /**
  * Points the calibration cache at a fresh temp dir for one test and

@@ -9,17 +9,23 @@
  * dispatch table of core/pair_pass.h may change throughput only, never
  * a single bit of results or statistics. Hosts without VNNI skip (not
  * fail) the explicit VNNI axis; the runnableIsaLevels() sweeps cover it
- * automatically wherever it is available.
+ * automatically wherever it is available. Reduction lengths that
+ * straddle the kernels' 64-bit dense-step bitset words, under forced
+ * stream, forced gather and measured dispatch, and the exactness-guard
+ * boundaries (K, v) that route aqsGemm to the reference are pinned too.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/aqs_gemm.h"
 #include "core/legacy_gemm.h"
+#include "core/pair_pass.h"
 #include "quant/gemm_quant.h"
 #include "isa_guard.h"
+#include "policy_guard.h"
 #include "pool_guard.h"
 #include "slicing/sbr.h"
+#include "slicing/sparsity.h"
 #include "slicing/straightforward.h"
 #include "util/cpu_features.h"
 #include "util/parallel_for.h"
@@ -506,6 +512,191 @@ TEST(KernelParity, LegacyGemmBothSkipSidesMatchDenseAcrossIsaLevels)
             EXPECT_TRUE(got == dense)
                 << "side=" << static_cast<int>(side)
                 << " isa=" << toString(isa);
+        }
+    }
+}
+
+/** Which HO vectors a word-boundary case compresses. */
+enum class MaskKind
+{
+    AllDense,
+    AllCompressed,
+    WeightOnly, ///< every weight HO vector compressed, no activation one
+    ActOnly,    ///< every activation HO vector compressed, no weight one
+    Random,
+};
+
+const char *
+maskKindName(MaskKind kind)
+{
+    switch (kind) {
+      case MaskKind::AllDense:      return "all-dense";
+      case MaskKind::AllCompressed: return "all-compressed";
+      case MaskKind::WeightOnly:    return "weight-only";
+      case MaskKind::ActOnly:       return "act-only";
+      case MaskKind::Random:        return "random";
+    }
+    return "?";
+}
+
+/** 7-bit SBR (n = 1) weight codes whose HO slices are all zero
+ *  (compressed, [-8, 7]) or all nonzero (|code| >= 16). */
+MatrixI32
+uniformHoWeightCodes(Rng &rng, std::size_t m, std::size_t k,
+                     bool compressed)
+{
+    MatrixI32 codes(m, k);
+    for (auto &c : codes.data()) {
+        if (compressed)
+            c = static_cast<std::int32_t>(rng.uniformInt(-8, 7));
+        else
+            c = static_cast<std::int32_t>(
+                rng.bernoulli(0.5) ? rng.uniformInt(16, 63)
+                                   : rng.uniformInt(-64, -24));
+    }
+    return codes;
+}
+
+/** 8-bit activation codes whose HO nibble is r = zp >> 4 everywhere
+ *  (compressed) or nowhere (dense). */
+MatrixI32
+uniformHoActivationCodes(Rng &rng, std::size_t k, std::size_t n,
+                         std::int32_t zp, bool compressed)
+{
+    const std::int32_t r = (zp >> 4) & 0xF;
+    const std::int32_t ho = compressed ? r : (r + 8) % 16;
+    MatrixI32 codes(k, n);
+    for (auto &c : codes.data())
+        c = ho * 16 + static_cast<std::int32_t>(rng.uniformInt(0, 15));
+    return codes;
+}
+
+TEST(KernelParity, BitsetWordBoundariesMatchReference)
+{
+    // Reduction lengths on both sides of 64-bit word edges (and one
+    // several words long) so the dense-step bitsets' tail words, full
+    // words and multi-word intersections all run, for every mask
+    // shape, dispatch policy, ISA level and pool width.
+    PoolGuard guard;
+    IsaGuard isa_guard;
+    PolicyGuard policy_guard;
+    const std::int32_t zp = 137;
+    Rng rng(1401);
+
+    for (std::size_t kk : {63u, 64u, 65u, 127u, 129u, 2049u}) {
+        for (int v : {4, 8}) {
+            const std::size_t m = 2 * static_cast<std::size_t>(v);
+            const std::size_t n = 2 * static_cast<std::size_t>(v);
+            AqsConfig cfg;
+            cfg.v = v;
+            for (MaskKind kind :
+                 {MaskKind::AllDense, MaskKind::AllCompressed,
+                  MaskKind::WeightOnly, MaskKind::ActOnly,
+                  MaskKind::Random}) {
+                const bool w_comp = kind == MaskKind::AllCompressed ||
+                                    kind == MaskKind::WeightOnly;
+                const bool x_comp = kind == MaskKind::AllCompressed ||
+                                    kind == MaskKind::ActOnly;
+                const MatrixI32 w_codes =
+                    kind == MaskKind::Random
+                        ? randomWeightCodes(rng, m, kk, 1)
+                        : uniformHoWeightCodes(rng, m, kk, w_comp);
+                const MatrixI32 x_codes =
+                    kind == MaskKind::Random
+                        ? randomActivationCodes(rng, kk, n, 8, zp)
+                        : uniformHoActivationCodes(rng, kk, n, zp, x_comp);
+                resetIsaLevel();
+                resetStreamPolicy();
+                const WeightOperand w = prepareWeights(w_codes, 1, cfg);
+                const ActivationOperand x =
+                    prepareActivations(x_codes, 1, zp, cfg);
+                if (kind != MaskKind::Random) {
+                    ASSERT_DOUBLE_EQ(maskDensityOfOnes(w.hoMask),
+                                     w_comp ? 1.0 : 0.0);
+                    ASSERT_DOUBLE_EQ(maskDensityOfOnes(x.hoMask),
+                                     x_comp ? 1.0 : 0.0);
+                }
+
+                AqsStats ref_stats;
+                const MatrixI64 ref =
+                    aqsGemmReference(w, x, cfg, &ref_stats);
+                for (StreamPolicy policy :
+                     {StreamPolicy::Stream, StreamPolicy::Gather,
+                      StreamPolicy::Measured}) {
+                    setStreamPolicy(policy);
+                    for (IsaLevel isa : runnableIsaLevels()) {
+                        setIsaLevel(isa);
+                        for (int threads : {1, 2, 4}) {
+                            setParallelThreads(threads);
+                            AqsStats got_stats;
+                            const MatrixI64 got =
+                                aqsGemm(w, x, cfg, &got_stats);
+                            SCOPED_TRACE(::testing::Message()
+                                         << "kk=" << kk << " v=" << v
+                                         << " masks=" << maskKindName(kind)
+                                         << " policy=" << toString(policy)
+                                         << " isa=" << toString(isa)
+                                         << " threads=" << threads);
+                            EXPECT_TRUE(got == ref);
+                            expectStatsEqual(got_stats, ref_stats);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(KernelParity, ExactnessGuardBoundaries)
+{
+    // aqsGemm's blocked kernel: K < 2^22 and v <= 16.
+    constexpr std::size_t k22 = std::size_t{1} << 22;
+    EXPECT_TRUE(detail::aqsBlockedKernelExact(k22 - 1, 4));
+    EXPECT_FALSE(detail::aqsBlockedKernelExact(k22, 4));
+    EXPECT_TRUE(detail::aqsBlockedKernelExact(64, 16));
+    EXPECT_FALSE(detail::aqsBlockedKernelExact(64, 17));
+    EXPECT_FALSE(detail::aqsBlockedKernelExact(k22, 17));
+    // Legacy blocked band: K < 2^25 and v <= 16.
+    constexpr std::size_t k25 = std::size_t{1} << 25;
+    EXPECT_TRUE(detail::legacyBlockedKernelExact(k25 - 1, 4));
+    EXPECT_FALSE(detail::legacyBlockedKernelExact(k25, 4));
+    EXPECT_TRUE(detail::legacyBlockedKernelExact(64, 16));
+    EXPECT_FALSE(detail::legacyBlockedKernelExact(64, 17));
+}
+
+TEST(KernelParity, VectorLengthGuardBoundaryMatchesReference)
+{
+    // v = 16 is the widest blocked micro-tile; v = 17 is routed to the
+    // reference. Both must equal aqsGemmReference bit-for-bit.
+    PoolGuard guard;
+    IsaGuard isa_guard;
+    Rng rng(1501);
+    const std::size_t kk = 70; // crosses a bitset word
+    const std::int32_t zp = 88;
+    for (int v : {16, 17}) {
+        const std::size_t m = 2 * static_cast<std::size_t>(v);
+        const std::size_t n = 2 * static_cast<std::size_t>(v);
+        AqsConfig cfg;
+        cfg.v = v;
+        const MatrixI32 w_codes = randomWeightCodes(rng, m, kk, 1, 0.9);
+        const MatrixI32 x_codes =
+            randomActivationCodes(rng, kk, n, 8, zp, 0.95);
+        const WeightOperand w = prepareWeights(w_codes, 1, cfg);
+        const ActivationOperand x = prepareActivations(x_codes, 1, zp, cfg);
+
+        AqsStats ref_stats;
+        const MatrixI64 ref = aqsGemmReference(w, x, cfg, &ref_stats);
+        EXPECT_TRUE(ref == intGemm(w_codes, x_codes)) << "v=" << v;
+        for (IsaLevel isa : runnableIsaLevels()) {
+            setIsaLevel(isa);
+            for (int threads : {1, 4}) {
+                setParallelThreads(threads);
+                AqsStats got_stats;
+                EXPECT_TRUE(aqsGemm(w, x, cfg, &got_stats) == ref)
+                    << "v=" << v << " isa=" << toString(isa)
+                    << " threads=" << threads;
+                expectStatsEqual(got_stats, ref_stats);
+            }
         }
     }
 }
