@@ -193,17 +193,6 @@ countTraffic(AqsStats &local, const WeightOperand &w,
                          static_cast<std::uint64_t>(kk) * n * x_levels;
 }
 
-detail::SkipLists
-buildActSkipLists(const ActivationOperand &x, const AqsConfig &cfg)
-{
-    if (cfg.actSkip == ActSkipMode::None) {
-        detail::SkipLists out;
-        out.identity = true;
-        return out;
-    }
-    return detail::buildSkipLists(x.hoMask);
-}
-
 /**
  * m-groups a band processes together. Each n-group's activation
  * operand (paired planes and the rows a gather touches) is then read
@@ -238,53 +227,56 @@ constexpr std::size_t kMGroupBlock = 4;
  *   - merge each int32 pair accumulator into the int64 micro-tile with
  *     its positional shift, add the Eq. (6) compensation, and write the
  *     tile back in one pass.
- * Outer-product counts fall out of the list lengths; no counter or mask
- * test executes inside the hot loops. Bands own disjoint accumulator
- * rows and all counters are exact integer sums, so results and stats
- * are bit-identical for any thread count or block size.
+ * The band counts nothing: statistics come from aqsCountStats, which
+ * derives them from the masks alone. Bands own disjoint accumulator
+ * rows, so results are bit-identical for any thread count or block
+ * size.
+ *
+ * The band reads its operands by reference - slice planes, the weight
+ * HO mask and, under r-valued skipping only, the total weight codes -
+ * so the Sibia front end (core/legacy_gemm.h) runs it on its sliced
+ * inputs without building operand structs.
  */
 template <int VT>
 void
-blockedBand(const WeightOperand &w, const ActivationOperand &x,
+blockedBand(const SlicedMatrix &w, const MatrixU8 &w_mask,
+            const MatrixI32 &w_total, const SlicedMatrix &x, Slice r,
             const AqsConfig &cfg, const detail::PairPassKernels &kern,
             const detail::StreamDecision &sd,
             const detail::SkipLists &xd, const std::int16_t *x16,
             const std::int16_t *xq, std::size_t mg0, std::size_t mg1,
-            MatrixI64 &acc, AqsStats &local)
+            MatrixI64 &acc)
 {
     const int v = VT > 0 ? VT : cfg.v;
     constexpr int TV = VT > 0 ? VT : 16; // static tile bound (v <= 16)
     panic_if(v > TV, "AQS-GEMM blocked kernel supports v <= ", TV);
     const std::size_t uv = static_cast<std::size_t>(v);
 
-    const std::size_t kk = w.sliced.cols();
-    const std::size_t n = x.sliced.cols();
+    const std::size_t kk = w.cols();
+    const std::size_t n = x.cols();
     const std::size_t n_groups = n / uv;
-    const std::size_t w_levels = w.sliced.levels();
-    const std::size_t x_levels = x.sliced.levels();
+    const std::size_t w_levels = w.levels();
+    const std::size_t x_levels = x.levels();
     const std::size_t w_ho = w_levels - 1;
     const std::size_t x_ho = x_levels - 1;
     const bool r_skip = cfg.actSkip == ActSkipMode::RValued;
-    const int x_ho_shift = x.sliced.hoPlane().shift;
-    const std::int64_t r_scaled = static_cast<std::int64_t>(x.r)
+    const int x_ho_shift = x.hoPlane().shift;
+    const std::int64_t r_scaled = static_cast<std::int64_t>(r)
                                   << x_ho_shift;
-    const std::uint64_t dense_per_tile =
-        static_cast<std::uint64_t>(kk) * w_levels * x_levels;
 
     std::vector<const std::int16_t *> xbase(x_levels);
     std::vector<int> xshift(x_levels);
     for (std::size_t xl = 0; xl < x_levels; ++xl) {
         xbase[xl] = x16 + xl * kk * n;
-        xshift[xl] = x.sliced.planes[xl].shift;
+        xshift[xl] = x.planes[xl].shift;
     }
 
     // Streaming fast path (SSE2+ generic-v, AVX2+ for v = 4): dense
     // masked passes over the pre-interleaved operands replace skip-list
     // gathers whenever the stream decision `sd` (resolved once per
     // GEMM call from the active policy + this host's calibrated costs;
-    // see core/kernel_cost_model.h) predicts the stream cheaper. Stats
-    // always come from the list lengths, so the choice never changes
-    // results or counters.
+    // see core/kernel_cost_model.h) predicts the stream cheaper. Both
+    // sum the same products, so the choice never changes a result.
     const bool stream_ok =
         xq != nullptr && detail::streamKernelsRunnable(kern, v);
     const std::size_t kkp = detail::pairCount(kk);
@@ -316,14 +308,14 @@ blockedBand(const WeightOperand &w, const ActivationOperand &x,
     std::array<std::int64_t, TV> wsum;
 
     auto prepare = [&](MGroup &g, std::size_t mg) {
-        const std::uint8_t *wmask = w.hoMask.row(mg).data();
+        const std::uint8_t *wmask = w_mask.row(mg).data();
         g.mg = mg;
         g.nwd = detail::denseStepsOfRow(wmask, kk, g.wbits.data(),
                                         g.wd.data());
 
         // Pack the band's weight rows, widened: wpack[(wl*kk + k)*v + i].
         for (std::size_t wl = 0; wl < w_levels; ++wl) {
-            const Slice *base = w.sliced.planes[wl].data.data().data();
+            const Slice *base = w.planes[wl].data.data().data();
             std::int16_t *dst = g.wpack.data() + wl * kk * uv;
             for (int i = 0; i < v; ++i) {
                 const Slice *src =
@@ -336,7 +328,7 @@ blockedBand(const WeightOperand &w, const ActivationOperand &x,
         // Paired-stream weight operands (unmasked + masked HO when a
         // streamed HO_w pass could read it; see operand_pack.h).
         if (stream_ok)
-            detail::packStreamWeightOperands(w.sliced, mg, v, wmask, g.nwd,
+            detail::packStreamWeightOperands(w, mg, v, wmask, g.nwd,
                                              sd, g.wq, g.wqm);
 
         if (r_skip) {
@@ -345,7 +337,7 @@ blockedBand(const WeightOperand &w, const ActivationOperand &x,
             // CS reuses for the wsum accumulation.
             for (int i = 0; i < v; ++i) {
                 const std::int32_t *src =
-                    w.totalCodes.row(mg * uv + static_cast<std::size_t>(i))
+                    w_total.row(mg * uv + static_cast<std::size_t>(i))
                         .data();
                 std::int64_t sum = 0;
                 for (std::size_t k = 0; k < kk; ++k) {
@@ -389,7 +381,7 @@ blockedBand(const WeightOperand &w, const ActivationOperand &x,
             const std::uint64_t *wbits = g.wbits.data();
             // Count first; materialize the list only when the gather
             // path will read it (the stream path needs just the count
-            // for stats and the cost decision).
+            // for the cost decision).
             if (stream_ok)
                 nboth = detail::bitsetAndCount(xbits, wbits, words);
             if (stream_ok && sd.profitable(nboth, kk)) {
@@ -404,11 +396,10 @@ blockedBand(const WeightOperand &w, const ActivationOperand &x,
         }
 
         tile.fill(0);
-        std::uint64_t executed = 0;
 
         for (std::size_t wl = 0; wl < w_levels; ++wl) {
             const std::int16_t *wp = g.wpack.data() + wl * kk * uv;
-            const int w_shift = w.sliced.planes[wl].shift;
+            const int w_shift = w.planes[wl].shift;
             const bool w_is_ho = wl == w_ho;
             for (std::size_t xl = 0; xl < x_levels; ++xl) {
                 const std::uint32_t *ks;
@@ -451,7 +442,6 @@ blockedBand(const WeightOperand &w, const ActivationOperand &x,
                     kern.passGeneric(wp, xbase[xl], n, ng_off, ks, nk,
                                      identity, v, pacc.data());
                 }
-                executed += nk;
 
                 const int shift = w_shift + xshift[xl];
                 for (int e = 0; e < v * v; ++e)
@@ -461,9 +451,6 @@ blockedBand(const WeightOperand &w, const ActivationOperand &x,
                         << shift;
             }
         }
-
-        local.executedOuterProducts += executed;
-        local.skippedOuterProducts += dense_per_tile - executed;
 
         if (r_skip) {
             // Eq. (6): wsum over the weight columns of uncompressed
@@ -496,19 +483,6 @@ blockedBand(const WeightOperand &w, const ActivationOperand &x,
                         wsum[static_cast<std::size_t>(i)] += tt[i];
                 }
             }
-            if (cfg.useEq6) {
-                local.compAdds += static_cast<std::uint64_t>(nxd) *
-                                  static_cast<std::uint64_t>(v) * w_levels;
-            } else {
-                const std::uint64_t n_xc =
-                    static_cast<std::uint64_t>(kk - nxd);
-                local.compAdds +=
-                    n_xc * static_cast<std::uint64_t>(v) * w_levels;
-                local.compExtraEmaNibbles +=
-                    n_xc * static_cast<std::uint64_t>(v) * w_levels;
-            }
-            local.compMults += static_cast<std::uint64_t>(v) *
-                               static_cast<std::uint64_t>(v);
             for (int i = 0; i < v; ++i) {
                 const std::int64_t comp =
                     g.bprow[static_cast<std::size_t>(i)] -
@@ -563,62 +537,59 @@ prepareActivationsDbs(const MatrixI32 &codes, int lo_bits, Slice r,
     return op;
 }
 
+namespace detail {
+
 MatrixI64
-aqsGemm(const WeightOperand &w, const ActivationOperand &x,
-        const AqsConfig &cfg, AqsStats *stats)
+blockedGemm(const SlicedMatrix &w, const MatrixU8 &w_mask,
+            const MatrixI32 &w_total, const SlicedMatrix &x,
+            const MatrixU8 &x_mask, Slice r, const AqsConfig &cfg,
+            std::span<const std::int16_t> x16_cache,
+            std::span<const std::int16_t> xq_cache)
 {
     const int v = cfg.v;
-    checkShapes(w, x, v);
-    const std::size_t m = w.sliced.rows();
-    const std::size_t kk = w.sliced.cols();
-    const std::size_t n = x.sliced.cols();
-
-    // Outside the blocked kernel's exact int32 domain (core/pair_pass.h)
-    // the scalar reference runs instead.
-    if (!detail::aqsBlockedKernelExact(kk, v))
-        return aqsGemmReference(w, x, cfg, stats);
-
+    const std::size_t m = w.rows();
+    const std::size_t kk = w.cols();
+    const std::size_t n = x.cols();
     const std::size_t m_groups = m / static_cast<std::size_t>(v);
     const std::size_t n_groups = n / static_cast<std::size_t>(v);
-    const std::size_t w_levels = w.sliced.levels();
-    const std::size_t x_levels = x.sliced.levels();
+    const std::size_t x_levels = x.levels();
 
     // Activation-side skip lists, shared read-only by every band.
-    const detail::SkipLists xd = buildActSkipLists(x, cfg);
+    SkipLists xd;
+    if (cfg.actSkip == ActSkipMode::None)
+        xd.identity = true;
+    else
+        xd = buildSkipLists(x_mask);
 
     // Micro-kernel row for the active ISA level, resolved once per
     // call: all variants are exact-integer and order-insensitive, so
     // the level changes throughput only, never results.
-    const detail::PairPassKernels &kern =
-        detail::pairPassKernels(activeIsaLevel());
+    const PairPassKernels &kern = pairPassKernels(activeIsaLevel());
 
     // Stream-vs-gather decision for this call, also resolved once (the
     // policy and cost-table lookups stay out of the per-pass loop).
     // Every alternative sums the same products, so the decision changes
-    // throughput only, never results or stats.
-    const detail::StreamDecision sd = detail::streamDecision(
-        kern.level, v == 4 ? detail::KernelFamily::Pass4
-                           : detail::KernelFamily::Generic);
+    // throughput only, never results.
+    const StreamDecision sd = streamDecision(
+        kern.level, v == 4 ? KernelFamily::Pass4 : KernelFamily::Generic);
 
     // Widened activation planes (int16, same [k][n] layout): the pair
     // passes run on 16-bit operands so two reduction steps fit one
     // multiply-accumulate lane. prepareActivations* precomputes them;
-    // widen on the fly only for hand-built operands.
+    // widen on the fly for hand-built operands and the Sibia front end.
     std::vector<std::int16_t> x16_local;
     const std::int16_t *x16 = nullptr;
-    if (x.widenedPlanes.size() == x_levels * kk * n) {
-        x16 = x.widenedPlanes.data();
+    if (x16_cache.size() == x_levels * kk * n) {
+        x16 = x16_cache.data();
     } else {
-        x16_local = detail::widenSlicePlanes(x.sliced);
+        x16_local = widenSlicePlanes(x);
         x16 = x16_local.data();
     }
 
-    // Paired-stream activation planes for the AVX2+ streaming passes;
-    // like the widened planes they are precomputed by
-    // prepareActivations* and rebuilt here only for hand-built
-    // operands (and only when a streaming kernel exists).
-    const std::size_t paired_size = x_levels * n_groups *
-                                    detail::pairCount(kk) *
+    // Paired-stream activation planes for the streaming passes; like
+    // the widened planes they are precomputed by prepareActivations*
+    // and rebuilt here otherwise (only when a streaming kernel exists).
+    const std::size_t paired_size = x_levels * n_groups * pairCount(kk) *
                                     (2 * static_cast<std::size_t>(v));
     std::vector<std::int16_t> xq_local;
     const std::int16_t *xq = nullptr;
@@ -628,58 +599,51 @@ aqsGemm(const WeightOperand &w, const ActivationOperand &x,
     // operands may leave hoMask empty under ActSkipMode::None (the one
     // mode that never reads it) - then xq stays null and the gather
     // path runs.
-    const bool mask_ok =
-        x.hoMask.rows() == kk && x.hoMask.cols() == n_groups;
-    const bool have_stream =
-        sd.policy != StreamPolicy::Gather &&
-        detail::streamKernelsRunnable(kern, v);
-    if (have_stream && x.pairedPlanes.size() == paired_size && mask_ok) {
-        xq = x.pairedPlanes.data();
+    const bool mask_ok = x_mask.rows() == kk && x_mask.cols() == n_groups;
+    const bool have_stream = sd.policy != StreamPolicy::Gather &&
+                             streamKernelsRunnable(kern, v);
+    if (have_stream && xq_cache.size() == paired_size && mask_ok) {
+        xq = xq_cache.data();
     } else if (have_stream && mask_ok) {
-        xq_local = detail::pairedSlicePlanes(x.sliced, v, &x.hoMask);
+        xq_local = pairedSlicePlanes(x, v, &x_mask);
         xq = xq_local.data();
     }
 
     MatrixI64 acc(m, n);
 
-    // Parallel over m-groups: bands own disjoint accumulator rows, and
-    // every per-band counter is an exact integer sum, so the result and
-    // the statistics are bit-identical for any thread count.
-    const int chunks = parallelChunkCount(m_groups);
-    std::vector<AqsStats> partial(static_cast<std::size_t>(chunks));
-    parallelFor(0, m_groups, [&](std::size_t b, std::size_t e, int c) {
-        AqsStats &part = partial[static_cast<std::size_t>(c)];
+    // Parallel over m-groups: bands own disjoint accumulator rows, so
+    // the result is bit-identical for any thread count.
+    parallelFor(0, m_groups, [&](std::size_t b, std::size_t e, int) {
         if (v == 4)
-            blockedBand<4>(w, x, cfg, kern, sd, xd, x16, xq, b, e, acc,
-                           part);
+            blockedBand<4>(w, w_mask, w_total, x, r, cfg, kern, sd, xd,
+                           x16, xq, b, e, acc);
         else
-            blockedBand<0>(w, x, cfg, kern, sd, xd, x16, xq, b, e, acc,
-                           part);
+            blockedBand<0>(w, w_mask, w_total, x, r, cfg, kern, sd, xd,
+                           x16, xq, b, e, acc);
     });
+    return acc;
+}
 
-    AqsStats local;
-    for (const AqsStats &part : partial) {
-        local.executedOuterProducts += part.executedOuterProducts;
-        local.skippedOuterProducts += part.skippedOuterProducts;
-        local.compMults += part.compMults;
-        local.compAdds += part.compAdds;
-        local.compExtraEmaNibbles += part.compExtraEmaNibbles;
-    }
-    local.denseOuterProducts =
-        m_groups * n_groups * kk * w_levels * x_levels;
-    local.macsPerOuterProduct = static_cast<double>(v) * v;
+} // namespace detail
 
-    // Multiply/add counts follow directly from executed outer products.
-    local.mults = local.executedOuterProducts *
-                  static_cast<std::uint64_t>(v) *
-                  static_cast<std::uint64_t>(v);
-    local.adds = local.mults;
+MatrixI64
+aqsGemm(const WeightOperand &w, const ActivationOperand &x,
+        const AqsConfig &cfg, AqsStats *stats)
+{
+    checkShapes(w, x, cfg.v);
 
-    countTraffic(local, w, x, m, kk, w_levels, x_levels, v, 0,
-                 n / static_cast<std::size_t>(v));
+    // Outside the blocked kernel's exact int32 domain (core/pair_pass.h)
+    // the scalar reference runs instead.
+    if (!detail::aqsBlockedKernelExact(w.sliced.cols(), cfg.v))
+        return aqsGemmReference(w, x, cfg, stats);
 
+    MatrixI64 acc = detail::blockedGemm(w.sliced, w.hoMask, w.totalCodes,
+                                        x.sliced, x.hoMask, x.r, cfg,
+                                        x.widenedPlanes, x.pairedPlanes);
+    // Statistics depend on the masks and streams alone, never on the
+    // schedule that ran: they are counted, not tallied in the band.
     if (stats)
-        *stats += local;
+        *stats += aqsCountStats(w, x, cfg);
     return acc;
 }
 

@@ -17,8 +17,11 @@
  * work, eliminating the extra memory accesses of the naive Eq. (5) form.
  *
  * The engine is functional (it produces the bit-exact integer GEMM
- * result) and fully counted: every multiply, add and nibble of traffic
- * is tallied so Table I and the energy model can be validated against it.
+ * result) and counted: every multiply, add and nibble of traffic is
+ * reported so Table I and the energy model can be validated against it.
+ * The scalar reference tallies its counters in its loop nest; aqsGemm()
+ * takes them from aqsCountStats(), which derives them from the HO masks
+ * and RLE streams alone, so the blocked band itself counts nothing.
  *
  * Determinism guarantees (enforced by tests/test_kernel_parity.cpp):
  * aqsGemm() returns results AND statistics bit-identical to
@@ -184,7 +187,8 @@ ActivationOperand prepareActivationsDbs(const MatrixI32 &codes, int lo_bits,
 /**
  * Execute the AQS-GEMM: returns the bit-exact integer accumulator
  * W_codes * x_codes (for DBS, over the LSB-masked effective activation
- * codes). Statistics are accumulated into *stats when non-null.
+ * codes). When stats is non-null, aqsCountStats(w, x, cfg) is added to
+ * *stats; with stats == nullptr nothing is counted.
  *
  * Preconditions: operands prepared with the same cfg.v (M and N must be
  * divisible by v); W is M x K, x is K x N. The blocked kernel runs for
@@ -196,6 +200,31 @@ ActivationOperand prepareActivationsDbs(const MatrixI32 &codes, int lo_bits,
  */
 MatrixI64 aqsGemm(const WeightOperand &w, const ActivationOperand &x,
                   const AqsConfig &cfg, AqsStats *stats = nullptr);
+
+namespace detail {
+
+/**
+ * The blocked band driver behind aqsGemm() and legacyBitsliceGemm()
+ * (core/legacy_gemm.h): runs the register-blocked band over every
+ * m-group on the shared pool and returns W * x. It reads the operands
+ * by reference - slice planes, the weight HO mask ((M/v) x K), the
+ * activation HO mask (K x N/v; may be empty under ActSkipMode::None)
+ * and, under ActSkipMode::RValued only, the total weight codes and the
+ * skip value r. x16_cache / xq_cache are optional precomputed
+ * ActivationOperand::widenedPlanes / pairedPlanes of x; missing or
+ * mis-sized ones are rebuilt locally. Counts nothing.
+ *
+ * Preconditions: shapes checked (M, N divisible by cfg.v, x.rows() ==
+ * w.cols()) and aqsBlockedKernelExact(w.cols(), cfg.v).
+ */
+MatrixI64 blockedGemm(const SlicedMatrix &w, const MatrixU8 &w_mask,
+                      const MatrixI32 &w_total, const SlicedMatrix &x,
+                      const MatrixU8 &x_mask, Slice r,
+                      const AqsConfig &cfg,
+                      std::span<const std::int16_t> x16_cache = {},
+                      std::span<const std::int16_t> xq_cache = {});
+
+} // namespace detail
 
 /**
  * Concatenate prepared activation operands along the column (token)

@@ -1,10 +1,10 @@
 /**
  * @file
- * Internal operand-preparation helpers shared by the blocked AQS-GEMM
- * and legacy bit-slice GEMM kernels: per-n-group skip lists derived
- * from an HO compression mask, and int16 widening of slice planes into
- * the contiguous [level][k][n] layout the pair-pass micro-kernels read
- * (see core/pair_pass.h).
+ * Internal operand-preparation helpers of the blocked AQS-GEMM band
+ * (which also runs the legacy bit-slice GEMM): per-n-group skip lists
+ * derived from an HO compression mask, and int16 widening of slice
+ * planes into the contiguous [level][k][n] layout the pair-pass
+ * micro-kernels read (see core/pair_pass.h).
  */
 
 #ifndef PANACEA_CORE_OPERAND_PACK_H
@@ -283,10 +283,9 @@ maskBandPlanePaired(const std::int16_t *src,
  * threshold; every HO_w pass's list is at most wd_size long and
  * profitable() is monotone nondecreasing in the list length under
  * every policy (see core/kernel_cost_model.h), so below the threshold
- * the copy is provably dead. Pass ho_mask_row = nullptr when weight
- * skipping is off. Both engines route their GEMM-call decision through
- * here, so the precondition and the per-pass choice can never use
- * different policies.
+ * the copy is provably dead. The band routes its GEMM-call decision
+ * through here, so the precondition and the per-pass choice can never
+ * use different policies.
  */
 inline void
 packStreamWeightOperands(const SlicedMatrix &w, std::size_t mg, int v,
@@ -298,8 +297,7 @@ packStreamWeightOperands(const SlicedMatrix &w, std::size_t mg, int v,
 {
     packWeightBandPaired(w, mg, v, wq);
     const std::size_t kk = w.cols();
-    if (ho_mask_row != nullptr && wd_size != kk &&
-        decision.profitable(wd_size, kk)) {
+    if (wd_size != kk && decision.profitable(wd_size, kk)) {
         const std::size_t ho_off =
             (w.levels() - 1) * pairCount(kk) * 2 *
             static_cast<std::size_t>(v);

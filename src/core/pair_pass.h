@@ -24,8 +24,7 @@
  *  - Arithmetic must be exact: every pacc element is the exact int32
  *    sum of exact int16 x int16 products. Integer addition commutes,
  *    so any vectorization order yields bit-identical results; callers
- *    guarantee no int32 overflow (aqsBlockedKernelExact /
- *    legacyBlockedKernelExact below).
+ *    guarantee no int32 overflow (aqsBlockedKernelExact below).
  *
  * The AVX2/AVX-512 translation units are compiled with their ISA flags
  * only when the compiler supports them (PANACEA_HAVE_*_KERNELS);
@@ -131,8 +130,8 @@ const PairPassKernels &pairPassKernels(IsaLevel level);
  * describes) is what guarantees a new tier cannot be wired into one
  * check but not the other: both sides see the same row and the same
  * v condition. The generic slot is bounded by the blocked micro-tile
- * limit (v <= 16); above it the engines fall back to scalar bands
- * that never stream.
+ * limit (v <= 16); above it the engines fall back to the scalar
+ * reference, which never streams.
  */
 inline bool
 streamKernelsRunnable(const PairPassKernels &kern, int v)
@@ -145,23 +144,13 @@ streamKernelsRunnable(const PairPassKernels &kern, int v)
  * Exactness domain of the AQS-GEMM blocked kernel (aqsGemm): its int32
  * pair accumulators stay exact while kk * max|slice product| < 2^31,
  * which kk < 2^22 guarantees (|product| <= 8 * 63), and its micro-tile
- * is bounded at v <= 16. Outside it aqsGemm runs aqsGemmReference.
+ * is bounded at v <= 16. Outside it aqsGemm and legacyBitsliceGemm
+ * (the band's Sibia front end) run aqsGemmReference.
  */
 constexpr bool
 aqsBlockedKernelExact(std::size_t kk, int v)
 {
     return kk < (std::size_t{1} << 22) && v <= 16;
-}
-
-/**
- * Exactness domain of the legacy bit-slice GEMM's blocked band: int32
- * pair sums are exact for kk < 2^25 (|product| <= 8 * 8), micro-tile
- * v <= 16. Outside it legacyBitsliceGemm runs its scalar band.
- */
-constexpr bool
-legacyBlockedKernelExact(std::size_t kk, int v)
-{
-    return kk < (std::size_t{1} << 25) && v <= 16;
 }
 
 // Per-ISA implementations. Declared unconditionally; the AVX2/AVX-512

@@ -13,7 +13,12 @@
  * straddle the kernels' 64-bit dense-step bitset words, under forced
  * stream, forced gather and measured dispatch, and the exactness-guard
  * boundaries (K, v) that route aqsGemm to the reference are pinned too.
+ * The Sibia front end (legacyBitsliceGemm), which runs on the same band,
+ * rides along those loops against the dense intGemm.
  */
+
+#include <array>
+#include <optional>
 
 #include <gtest/gtest.h>
 
@@ -87,6 +92,45 @@ expectStatsEqual(const AqsStats &a, const AqsStats &b)
     EXPECT_EQ(a.xIndexBits, b.xIndexBits);
     EXPECT_EQ(a.denseNibbles, b.denseNibbles);
     EXPECT_DOUBLE_EQ(a.macsPerOuterProduct, b.macsPerOuterProduct);
+}
+
+void
+expectLegacyStatsEqual(const LegacyStats &a, const LegacyStats &b)
+{
+    EXPECT_EQ(a.denseOuterProducts, b.denseOuterProducts);
+    EXPECT_EQ(a.executedOuterProducts, b.executedOuterProducts);
+    EXPECT_EQ(a.skippedOuterProducts, b.skippedOuterProducts);
+    EXPECT_EQ(a.mults, b.mults);
+    EXPECT_EQ(a.adds, b.adds);
+    EXPECT_EQ(a.emaNibbles, b.emaNibbles);
+    EXPECT_DOUBLE_EQ(a.rhoW, b.rhoW);
+    EXPECT_DOUBLE_EQ(a.rhoX, b.rhoX);
+    EXPECT_EQ(a.skippedWeightSide, b.skippedWeightSide);
+}
+
+/**
+ * Run legacyBitsliceGemm on both skip sides under the current ISA,
+ * policy and pool width: the result must equal `dense`, and the stats
+ * must equal the first run recorded per side in `base` (filled on the
+ * first call), i.e. be identical across ISA level and thread count.
+ */
+void
+expectLegacyMatchesDense(const SlicedMatrix &ws, const SlicedMatrix &xs,
+                         int v, const MatrixI64 &dense,
+                         std::array<std::optional<LegacyStats>, 2> &base)
+{
+    const SibiaSkipSide sides[] = {SibiaSkipSide::Weight,
+                                   SibiaSkipSide::Activation};
+    for (std::size_t i = 0; i < 2; ++i) {
+        LegacyStats st;
+        EXPECT_TRUE(legacyBitsliceGemm(ws, xs, v, sides[i], &st) == dense)
+            << "legacy side=" << static_cast<int>(sides[i]);
+        EXPECT_EQ(st.skippedWeightSide, sides[i] == SibiaSkipSide::Weight);
+        if (!base[i])
+            base[i] = st;
+        else
+            expectLegacyStatsEqual(st, *base[i]);
+    }
 }
 
 struct ParityCase
@@ -329,9 +373,9 @@ TEST(KernelParity, OversizedVectorLengthFallsBackCorrectly)
     PoolGuard guard;
     setParallelThreads(4);
     Rng rng(808);
-    // v = 20 exceeds the blocked micro-tile bound: aqsGemm must fall
-    // back to the scalar reference and legacyBitsliceGemm to its
-    // scalar band, not abort.
+    // v = 20 exceeds the blocked micro-tile bound: aqsGemm and
+    // legacyBitsliceGemm must both fall back to the scalar reference,
+    // not abort.
     const std::size_t m = 40, kk = 8, n = 20;
     AqsConfig cfg;
     cfg.v = 20;
@@ -346,11 +390,44 @@ TEST(KernelParity, OversizedVectorLengthFallsBackCorrectly)
     EXPECT_TRUE(got == ref);
     expectStatsEqual(new_stats, ref_stats);
 
-    SlicedMatrix ws = sbrSliceMatrix(w_codes, 1);
-    SlicedMatrix xs = sbrSliceMatrix(randomWeightCodes(rng, kk, n, 1), 1);
-    MatrixI64 legacy = legacyBitsliceGemm(ws, xs, 20,
-                                          SibiaSkipSide::Auto);
-    EXPECT_EQ(legacy.rows(), m);
+    // Sibia on the AQS scalar reference: exact, with the closed-form
+    // counters (each compressed vector of the skipped side skips its
+    // HO pass against every plane and group of the other side).
+    const MatrixI32 lw_codes = randomWeightCodes(rng, m, kk, 1, 0.97);
+    const MatrixI32 lx_codes = randomWeightCodes(rng, kk, n, 1, 0.97);
+    SlicedMatrix ws = sbrSliceMatrix(lw_codes, 1);
+    SlicedMatrix xs = sbrSliceMatrix(lx_codes, 1);
+    const MatrixI64 dense = intGemm(lw_codes, lx_codes);
+    const std::uint64_t m_groups = m / 20, n_groups = n / 20;
+    const std::uint64_t all = m_groups * n_groups * kk * ws.levels() *
+                              xs.levels();
+    const auto ones = [](const MatrixU8 &mask) {
+        std::uint64_t c = 0;
+        for (std::uint8_t b : mask.data())
+            c += b != 0;
+        return c;
+    };
+    const std::uint64_t w_comp =
+        ones(weightVectorMask(ws.hoPlane().data, 20));
+    const std::uint64_t x_comp =
+        ones(activationVectorMask(xs.hoPlane().data, 20, 0));
+    ASSERT_GT(w_comp, 0u);
+    ASSERT_GT(x_comp, 0u);
+    for (SibiaSkipSide side :
+         {SibiaSkipSide::Weight, SibiaSkipSide::Activation}) {
+        const bool skip_w = side == SibiaSkipSide::Weight;
+        LegacyStats st;
+        EXPECT_TRUE(legacyBitsliceGemm(ws, xs, 20, side, &st) == dense)
+            << "side=" << static_cast<int>(side);
+        const std::uint64_t skipped =
+            skip_w ? w_comp * n_groups * xs.levels()
+                   : x_comp * m_groups * ws.levels();
+        EXPECT_EQ(st.denseOuterProducts, all);
+        EXPECT_EQ(st.skippedOuterProducts, skipped);
+        EXPECT_EQ(st.executedOuterProducts, all - skipped);
+        EXPECT_EQ(st.mults, (all - skipped) * 20 * 20);
+        EXPECT_EQ(st.skippedWeightSide, skip_w);
+    }
 }
 
 TEST(KernelParity, HandBuiltOperandWithoutWidenedPlanesStillWorks)
@@ -620,6 +697,12 @@ TEST(KernelParity, BitsetWordBoundariesMatchReference)
                 AqsStats ref_stats;
                 const MatrixI64 ref =
                     aqsGemmReference(w, x, cfg, &ref_stats);
+                // Sibia front end on the same sliced operands (the
+                // long kk = 2049 case is AQS-only).
+                const bool legacy = kk != 2049;
+                const MatrixI64 dense =
+                    legacy ? intGemm(w_codes, x_codes) : MatrixI64{};
+                std::array<std::optional<LegacyStats>, 2> legacy_base;
                 for (StreamPolicy policy :
                      {StreamPolicy::Stream, StreamPolicy::Gather,
                       StreamPolicy::Measured}) {
@@ -639,6 +722,10 @@ TEST(KernelParity, BitsetWordBoundariesMatchReference)
                                          << " threads=" << threads);
                             EXPECT_TRUE(got == ref);
                             expectStatsEqual(got_stats, ref_stats);
+                            if (legacy && threads != 2)
+                                expectLegacyMatchesDense(
+                                    w.sliced, x.sliced, v, dense,
+                                    legacy_base);
                         }
                     }
                 }
@@ -656,20 +743,16 @@ TEST(KernelParity, ExactnessGuardBoundaries)
     EXPECT_TRUE(detail::aqsBlockedKernelExact(64, 16));
     EXPECT_FALSE(detail::aqsBlockedKernelExact(64, 17));
     EXPECT_FALSE(detail::aqsBlockedKernelExact(k22, 17));
-    // Legacy blocked band: K < 2^25 and v <= 16.
-    constexpr std::size_t k25 = std::size_t{1} << 25;
-    EXPECT_TRUE(detail::legacyBlockedKernelExact(k25 - 1, 4));
-    EXPECT_FALSE(detail::legacyBlockedKernelExact(k25, 4));
-    EXPECT_TRUE(detail::legacyBlockedKernelExact(64, 16));
-    EXPECT_FALSE(detail::legacyBlockedKernelExact(64, 17));
 }
 
 TEST(KernelParity, VectorLengthGuardBoundaryMatchesReference)
 {
     // v = 16 is the widest blocked micro-tile; v = 17 is routed to the
-    // reference. Both must equal aqsGemmReference bit-for-bit.
+    // reference. Both must equal aqsGemmReference bit-for-bit, and the
+    // Sibia front end the dense intGemm under every policy.
     PoolGuard guard;
     IsaGuard isa_guard;
+    PolicyGuard policy_guard;
     Rng rng(1501);
     const std::size_t kk = 70; // crosses a bitset word
     const std::int32_t zp = 88;
@@ -686,7 +769,9 @@ TEST(KernelParity, VectorLengthGuardBoundaryMatchesReference)
 
         AqsStats ref_stats;
         const MatrixI64 ref = aqsGemmReference(w, x, cfg, &ref_stats);
-        EXPECT_TRUE(ref == intGemm(w_codes, x_codes)) << "v=" << v;
+        const MatrixI64 dense = intGemm(w_codes, x_codes);
+        EXPECT_TRUE(ref == dense) << "v=" << v;
+        std::array<std::optional<LegacyStats>, 2> legacy_base;
         for (IsaLevel isa : runnableIsaLevels()) {
             setIsaLevel(isa);
             for (int threads : {1, 4}) {
@@ -696,6 +781,19 @@ TEST(KernelParity, VectorLengthGuardBoundaryMatchesReference)
                     << "v=" << v << " isa=" << toString(isa)
                     << " threads=" << threads;
                 expectStatsEqual(got_stats, ref_stats);
+                for (StreamPolicy policy :
+                     {StreamPolicy::Stream, StreamPolicy::Gather,
+                      StreamPolicy::Measured}) {
+                    setStreamPolicy(policy);
+                    SCOPED_TRACE(::testing::Message()
+                                 << "legacy v=" << v
+                                 << " policy=" << toString(policy)
+                                 << " isa=" << toString(isa)
+                                 << " threads=" << threads);
+                    expectLegacyMatchesDense(w.sliced, x.sliced, v, dense,
+                                             legacy_base);
+                }
+                resetStreamPolicy();
             }
         }
     }

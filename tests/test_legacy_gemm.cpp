@@ -64,6 +64,26 @@ TEST(LegacyGemm, AutoPicksSparserSide)
     EXPECT_GT(stats.rhoX, stats.rhoW);
 }
 
+TEST(LegacyGemm, SparseWeightsReportWeightSideSkipped)
+{
+    Rng rng(45);
+    // Sparse weights, dense activations: Auto and forced Weight both
+    // skip the weight side, and the merged record must say so.
+    MatrixI32 w = randomSigned(rng, 16, 24, 7, 0.97);
+    MatrixI32 x = randomSigned(rng, 24, 8, 7, 0.0);
+    SlicedMatrix ws = sbrSliceMatrix(w, 1);
+    SlicedMatrix xs = sbrSliceMatrix(x, 1);
+
+    for (auto side : {SibiaSkipSide::Auto, SibiaSkipSide::Weight}) {
+        LegacyStats stats;
+        (void)legacyBitsliceGemm(ws, xs, 4, side, &stats);
+        EXPECT_TRUE(stats.skippedWeightSide)
+            << "side=" << static_cast<int>(side);
+        EXPECT_GT(stats.rhoW, stats.rhoX);
+        EXPECT_GT(stats.skippedOuterProducts, 0u);
+    }
+}
+
 TEST(LegacyGemm, DenseEmaIndependentOfSparsity)
 {
     Rng rng(43);
