@@ -29,7 +29,9 @@
  * real operands of the served llama32_1b stack (N = 512, one prefill
  * round) and bertBase (N = 8) and records, per layer, the measured ms
  * next to what the stream/gather cost model predicted for the same
- * pass choices. See README.md ("Bench JSON schema") for the field list.
+ * pass choices, plus the single-thread ms under forced stream and
+ * forced gather; a layer's parity requires all three outputs equal.
+ * See README.md ("Bench JSON schema") for the field list.
  */
 
 #include <algorithm>
@@ -210,6 +212,8 @@ struct ShapeResult
     std::size_t wLevels = 0, xLevels = 0;
     double ms1t = 0.0;   ///< single-thread best-of
     double msPool = 0.0; ///< best-of at the full pool width
+    double ms1tStream = 0.0; ///< single-thread best-of, forced stream
+    double ms1tGather = 0.0; ///< single-thread best-of, forced gather
     std::uint64_t executed = 0; ///< executed outer products
     std::uint64_t streamPasses = 0, gatherPasses = 0;
     bool predicted = false; ///< the cost model had measured costs
@@ -333,16 +337,32 @@ runModelShapes(const BenchOptions &opt, const ModelSpec &spec,
                        aqsCountStats(w, op, cfg).executedOuterProducts;
         r.msPool = timeMs(topt, [&] { aqsGemm(w, op, cfg); });
         r.executed = st1.executedOuterProducts;
+
+        // The same operands under forced stream and forced gather: the
+        // stream kernels must agree with the gathers on served shapes,
+        // not only on test shapes.
+        setParallelThreads(1);
+        const StreamPolicy policy = activeStreamPolicy();
+        for (StreamPolicy forced :
+             {StreamPolicy::Stream, StreamPolicy::Gather}) {
+            setStreamPolicy(forced);
+            r.parity = r.parity && aqsGemm(w, op, cfg) == acc1;
+            (forced == StreamPolicy::Stream ? r.ms1tStream : r.ms1tGather) =
+                timeMs(topt, [&] { aqsGemm(w, op, cfg); });
+        }
+        setStreamPolicy(policy);
+        setParallelThreads(pool);
         predictLayer(w, op, cfg, r);
         out.push_back(r);
         char pred[32] = "        -        -";
         if (r.predicted)
             std::snprintf(pred, sizeof pred, "%9.2f  %6.2fx",
                           r.predictedMs, r.ratio());
-        std::printf("  %-12s %-10s %5zu %5zu %4zu  %9.2f  %9.2f  %8.1f  "
-                    "%s  %6llu/%-6llu %s\n",
+        std::printf("  %-12s %-10s %5zu %5zu %4zu  %9.2f  %9.2f  %9.2f  "
+                    "%9.2f  %8.1f  %s  %6llu/%-6llu %s\n",
                     r.model.c_str(), r.layer.c_str(), r.m, r.k, r.n,
-                    r.ms1t, r.msPool, r.psPerOp(), pred,
+                    r.ms1t, r.msPool, r.ms1tStream, r.ms1tGather,
+                    r.psPerOp(), pred,
                     static_cast<unsigned long long>(r.streamPasses),
                     static_cast<unsigned long long>(r.gatherPasses),
                     r.parity ? "yes" : "NO");
@@ -362,8 +382,8 @@ runShapes(const BenchOptions &opt)
               << toString(activeIsaLevel()) << ", policy: "
               << toString(activeStreamPolicy()) << ")\n";
     std::cout << "  model        layer          M     K    N   ms(1t)  "
-                 "ms(pool)  ps/op  pred-ms  meas/pred  stream/gather "
-                 "parity\n";
+                 "ms(pool)  stream-1t  gather-1t  ps/op  pred-ms  "
+                 "meas/pred  stream/gather parity\n";
     runModelShapes(opt, llama32_1b(), 512, out);
     runModelShapes(opt, bertBase(), 8, out);
     return out;
@@ -381,6 +401,8 @@ writeShapesJson(std::ostream &out, const std::vector<ShapeResult> &shapes)
             << ", \"w_levels\": " << r.wLevels
             << ", \"x_levels\": " << r.xLevels
             << ", \"ms_1t\": " << r.ms1t << ", \"ms_pool\": " << r.msPool
+            << ", \"ms_1t_stream\": " << r.ms1tStream
+            << ", \"ms_1t_gather\": " << r.ms1tGather
             << ", \"executed_outer_products\": " << r.executed
             << ", \"ps_per_op\": " << r.psPerOp()
             << ", \"stream_passes\": " << r.streamPasses

@@ -90,10 +90,10 @@ prepareWeights(const MatrixI32 &codes, int n, const AqsConfig &cfg)
 namespace {
 
 /**
- * Whether any streaming kernel could consume paired operands on this
+ * Whether any streaming kernel could consume quad operands on this
  * host + build (the best runnable dispatch row has one, via the shared
  * streamKernelsRunnable predicate in core/pair_pass.h) AND the active
- * policy could ever choose a stream: gates the paired-plane precompute
+ * policy could ever choose a stream: gates the quad-plane precompute
  * so scalar-only hosts, non-streamable configurations and forced
  * gather runs pay neither the prep time nor the memory.
  */
@@ -126,16 +126,16 @@ finishActivationOperand(ActivationOperand &op, const AqsConfig &cfg)
         op.streams = encodeActivationPlane(ho, cfg.v, /*r=*/-1,
                                            cfg.rleIndexBits);
         if (streamKernelsAvailable(cfg))
-            op.pairedPlanes =
-                detail::pairedSlicePlanes(op.sliced, cfg.v, &op.hoMask);
+            op.quadPlanes =
+                detail::quadSlicePlanes(op.sliced, cfg.v, &op.hoMask);
         return;
     }
     op.hoMask = activationVectorMask(ho, cfg.v, skip_value);
     op.streams = encodeActivationPlane(ho, cfg.v, skip_value,
                                        cfg.rleIndexBits);
     if (streamKernelsAvailable(cfg))
-        op.pairedPlanes =
-            detail::pairedSlicePlanes(op.sliced, cfg.v, &op.hoMask);
+        op.quadPlanes =
+            detail::quadSlicePlanes(op.sliced, cfg.v, &op.hoMask);
 }
 
 /** Shape checks shared by the reference and blocked kernels. */
@@ -195,10 +195,10 @@ countTraffic(AqsStats &local, const WeightOperand &w,
 
 /**
  * m-groups a band processes together. Each n-group's activation
- * operand (paired planes and the rows a gather touches) is then read
+ * operand (quad planes and the rows a gather touches) is then read
  * once per block instead of once per m-group, which matters when an
  * n-group's operand outgrows the private caches (K = 8192 x 3
- * activation levels streams ~24 MB per m-group from L3). A constant
+ * activation levels streams ~12 MB of quads per m-group from L3). A constant
  * chosen by measurement on the served llama32_1b shapes, not an option.
  */
 constexpr std::size_t kMGroupBlock = 4;
@@ -212,7 +212,8 @@ constexpr std::size_t kMGroupBlock = 4;
  * The band walks its m-groups in blocks of kMGroupBlock. Per m-group
  * of a block:
  *   - pack the v weight rows of every slice plane into a contiguous
- *     [k][i] tile (one strided pass, reused across every n-group);
+ *     int16 [k][i] tile for the gathers and, when streams can run, an
+ *     s8 quad tile for the streams (reused across every n-group);
  *   - build the weight-side dense-step bitset and skip list from the
  *     HO mask row in one pass (detail::denseStepsOfRow).
  * Per n-group, then per m-group of the block, one (mg, ng) tile:
@@ -244,7 +245,7 @@ blockedBand(const SlicedMatrix &w, const MatrixU8 &w_mask,
             const AqsConfig &cfg, const detail::PairPassKernels &kern,
             const detail::StreamDecision &sd,
             const detail::SkipLists &xd, const std::int16_t *x16,
-            const std::int16_t *xq, std::size_t mg0, std::size_t mg1,
+            const std::uint8_t *xq, std::size_t mg0, std::size_t mg1,
             MatrixI64 &acc)
 {
     const int v = VT > 0 ? VT : cfg.v;
@@ -272,15 +273,20 @@ blockedBand(const SlicedMatrix &w, const MatrixU8 &w_mask,
     }
 
     // Streaming fast path (SSE2+ generic-v, AVX2+ for v = 4): dense
-    // masked passes over the pre-interleaved operands replace skip-list
-    // gathers whenever the stream decision `sd` (resolved once per
-    // GEMM call from the active policy + this host's calibrated costs;
-    // see core/kernel_cost_model.h) predicts the stream cheaper. Both
-    // sum the same products, so the choice never changes a result.
+    // masked passes over the 8-bit quad operands (s8 weights, u8
+    // activations, four reduction steps per 32-bit lane) replace
+    // skip-list gathers whenever the stream decision `sd` (resolved
+    // once per GEMM call from the active policy + this host's
+    // calibrated costs; see core/kernel_cost_model.h) predicts the
+    // stream cheaper. Both sum the same products, so the choice never
+    // changes a result. Signed activation planes (Sibia) are streamed
+    // as x + x_off; each such pass subtracts x_off * (row sums of the
+    // weight quads it read), which restores the exact sum.
     const bool stream_ok =
         xq != nullptr && detail::streamKernelsRunnable(kern, v);
-    const std::size_t kkp = detail::pairCount(kk);
-    const std::size_t pw = 2 * uv;
+    const std::size_t kq = detail::quadCount(kk);
+    const std::size_t pw = 4 * uv;
+    const std::int32_t x_off = detail::quadActOffset(x);
     const std::size_t words = detail::bitsetWords(kk);
 
     // Per-m-group operands of one block, allocated once per band and
@@ -291,7 +297,10 @@ blockedBand(const SlicedMatrix &w, const MatrixU8 &w_mask,
         std::size_t nwd = 0; ///< dense steps of this m-group
         std::vector<std::uint64_t> wbits;
         std::vector<std::uint32_t> wd;
-        std::vector<std::int16_t> wpack, wq, wqm;
+        std::vector<std::int16_t> wpack;
+        std::vector<std::int8_t> wq, wqm;
+        /// x_off * quad row sums: w_levels planes of wq, then wqm.
+        std::vector<std::int32_t> wqoff;
         std::vector<std::int32_t> ttpack;
         std::array<std::int64_t, TV> bprow, ttfull;
     };
@@ -301,6 +310,7 @@ blockedBand(const SlicedMatrix &w, const MatrixU8 &w_mask,
         g.wd.resize(kk);
         g.wpack.resize(w_levels * kk * uv);
         g.ttpack.resize(r_skip ? kk * uv : 0);
+        g.wqoff.resize(stream_ok && x_off != 0 ? (w_levels + 1) * uv : 0);
     }
     std::vector<std::uint32_t> wxd(kk);
     std::array<std::int32_t, TV * TV> pacc;
@@ -325,11 +335,23 @@ blockedBand(const SlicedMatrix &w, const MatrixU8 &w_mask,
             }
         }
 
-        // Paired-stream weight operands (unmasked + masked HO when a
-        // streamed HO_w pass could read it; see operand_pack.h).
-        if (stream_ok)
+        // Quad-stream weight operands (unmasked + masked HO when a
+        // streamed HO_w pass could read it; see operand_pack.h), and
+        // the offset corrections of signed activations.
+        if (stream_ok) {
             detail::packStreamWeightOperands(w, mg, v, wmask, g.nwd,
                                              sd, g.wq, g.wqm);
+            if (x_off != 0) {
+                for (std::size_t wl = 0; wl < w_levels; ++wl)
+                    detail::quadRowSums(g.wq.data() + wl * kq * pw, kq, v,
+                                        g.wqoff.data() + wl * uv);
+                if (!g.wqm.empty())
+                    detail::quadRowSums(g.wqm.data(), kq, v,
+                                        g.wqoff.data() + w_levels * uv);
+                for (std::int32_t &e : g.wqoff)
+                    e *= x_off;
+            }
+        }
 
         if (r_skip) {
             // Offline term b' = r * 2^shift * row sums of the total
@@ -425,16 +447,23 @@ blockedBand(const SlicedMatrix &w, const MatrixU8 &w_mask,
                 }
 
                 if (stream_ok && sd.profitable(nk, kk)) {
-                    const std::int16_t *wqp =
-                        (w_is_ho && !wd_full)
-                            ? g.wqm.data()
-                            : g.wq.data() + wl * kkp * pw;
-                    const std::int16_t *xqp =
-                        xq + (xl * n_groups + ng) * kkp * pw;
+                    const bool masked = w_is_ho && !wd_full;
+                    const std::int8_t *wqp =
+                        masked ? g.wqm.data() : g.wq.data() + wl * kq * pw;
+                    const std::uint8_t *xqp =
+                        xq + (xl * n_groups + ng) * kq * pw;
                     if constexpr (VT == 4)
-                        kern.stream4(wqp, xqp, kkp, pacc.data());
+                        kern.stream4(wqp, xqp, kq, pacc.data());
                     else
-                        kern.streamGeneric(wqp, xqp, kkp, v, pacc.data());
+                        kern.streamGeneric(wqp, xqp, kq, v, pacc.data());
+                    if (x_off != 0) {
+                        const std::int32_t *off =
+                            g.wqoff.data() + (masked ? w_levels : wl) * uv;
+                        for (int i = 0; i < v; ++i)
+                            for (int j = 0; j < v; ++j)
+                                pacc[static_cast<std::size_t>(i * v + j)] -=
+                                    off[i];
+                    }
                 } else if constexpr (VT == 4) {
                     kern.pass4(wp, xbase[xl], n, ng_off, ks, nk, identity,
                                pacc.data());
@@ -544,7 +573,7 @@ blockedGemm(const SlicedMatrix &w, const MatrixU8 &w_mask,
             const MatrixI32 &w_total, const SlicedMatrix &x,
             const MatrixU8 &x_mask, Slice r, const AqsConfig &cfg,
             std::span<const std::int16_t> x16_cache,
-            std::span<const std::int16_t> xq_cache)
+            std::span<const std::uint8_t> xq_cache)
 {
     const int v = cfg.v;
     const std::size_t m = w.rows();
@@ -573,8 +602,8 @@ blockedGemm(const SlicedMatrix &w, const MatrixU8 &w_mask,
     const StreamDecision sd = streamDecision(
         kern.level, v == 4 ? KernelFamily::Pass4 : KernelFamily::Generic);
 
-    // Widened activation planes (int16, same [k][n] layout): the pair
-    // passes run on 16-bit operands so two reduction steps fit one
+    // Widened activation planes (int16, same [k][n] layout): the gather
+    // passes run on 16-bit operands so two listed steps fit one
     // multiply-accumulate lane. prepareActivations* precomputes them;
     // widen on the fly for hand-built operands and the Sibia front end.
     std::vector<std::int16_t> x16_local;
@@ -586,13 +615,13 @@ blockedGemm(const SlicedMatrix &w, const MatrixU8 &w_mask,
         x16 = x16_local.data();
     }
 
-    // Paired-stream activation planes for the streaming passes; like
-    // the widened planes they are precomputed by prepareActivations*
-    // and rebuilt here otherwise (only when a streaming kernel exists).
-    const std::size_t paired_size = x_levels * n_groups * pairCount(kk) *
-                                    (2 * static_cast<std::size_t>(v));
-    std::vector<std::int16_t> xq_local;
-    const std::int16_t *xq = nullptr;
+    // Quad-stream activation planes for the streaming passes; like the
+    // widened planes they are precomputed by prepareActivations* and
+    // rebuilt here otherwise (only when a streaming kernel exists).
+    const std::size_t quad_size = x_levels * n_groups * quadCount(kk) *
+                                  (4 * static_cast<std::size_t>(v));
+    std::vector<std::uint8_t> xq_local;
+    const std::uint8_t *xq = nullptr;
     // The byte size alone cannot distinguish layouts built for a
     // different v (it is v-independent); the mask width pins it. The
     // local rebuild also requires a well-shaped mask: hand-built
@@ -602,10 +631,10 @@ blockedGemm(const SlicedMatrix &w, const MatrixU8 &w_mask,
     const bool mask_ok = x_mask.rows() == kk && x_mask.cols() == n_groups;
     const bool have_stream = sd.policy != StreamPolicy::Gather &&
                              streamKernelsRunnable(kern, v);
-    if (have_stream && xq_cache.size() == paired_size && mask_ok) {
+    if (have_stream && xq_cache.size() == quad_size && mask_ok) {
         xq = xq_cache.data();
     } else if (have_stream && mask_ok) {
-        xq_local = pairedSlicePlanes(x, v, &x_mask);
+        xq_local = quadSlicePlanes(x, v, &x_mask);
         xq = xq_local.data();
     }
 
@@ -639,7 +668,7 @@ aqsGemm(const WeightOperand &w, const ActivationOperand &x,
 
     MatrixI64 acc = detail::blockedGemm(w.sliced, w.hoMask, w.totalCodes,
                                         x.sliced, x.hoMask, x.r, cfg,
-                                        x.widenedPlanes, x.pairedPlanes);
+                                        x.widenedPlanes, x.quadPlanes);
     // Statistics depend on the masks and streams alone, never on the
     // schedule that ran: they are counted, not tallied in the band.
     if (stats)
@@ -796,12 +825,12 @@ concatActivationOperands(std::span<const ActivationOperand *const> ops,
     const std::size_t kk = first.sliced.rows();
     const std::size_t levels = first.sliced.levels();
     const std::size_t uv = static_cast<std::size_t>(cfg.v);
-    const std::size_t kkp = detail::pairCount(kk);
-    const std::size_t pw = 2 * uv;
+    const std::size_t kq = detail::quadCount(kk);
+    const std::size_t pw = 4 * uv;
 
     std::size_t n_total = 0;
     bool have_widened = true;
-    bool have_paired = true;
+    bool have_quad = true;
     for (const ActivationOperand *op : ops) {
         const std::size_t n_op = op->sliced.cols();
         panic_if(op->sliced.rows() != kk || op->sliced.levels() != levels,
@@ -824,9 +853,8 @@ concatActivationOperands(std::span<const ActivationOperand *const> ops,
         n_total += n_op;
         have_widened =
             have_widened && op->widenedPlanes.size() == levels * kk * n_op;
-        have_paired = have_paired &&
-                      op->pairedPlanes.size() ==
-                          levels * (n_op / uv) * kkp * pw;
+        have_quad = have_quad && op->quadPlanes.size() ==
+                                     levels * (n_op / uv) * kq * pw;
     }
     const std::size_t g_total = n_total / uv;
 
@@ -898,19 +926,19 @@ concatActivationOperands(std::span<const ActivationOperand *const> ops,
             });
         }
     }
-    if (have_paired) {
-        // Paired layout is [level][n-group][pair][2v]: per level one
+    if (have_quad) {
+        // Quad layout is [level][n-group][quad][4v]: per level one
         // contiguous block per source operand.
-        out.pairedPlanes.resize(levels * g_total * kkp * pw);
+        out.quadPlanes.resize(levels * g_total * kq * pw);
         for (std::size_t l = 0; l < levels; ++l) {
-            std::int16_t *dst =
-                out.pairedPlanes.data() + l * g_total * kkp * pw;
+            std::uint8_t *dst =
+                out.quadPlanes.data() + l * g_total * kq * pw;
             for (const ActivationOperand *op : ops) {
                 const std::size_t g_op = op->sliced.cols() / uv;
-                const std::int16_t *src =
-                    op->pairedPlanes.data() + l * g_op * kkp * pw;
-                std::copy(src, src + g_op * kkp * pw, dst);
-                dst += g_op * kkp * pw;
+                const std::uint8_t *src =
+                    op->quadPlanes.data() + l * g_op * kq * pw;
+                std::copy(src, src + g_op * kq * pw, dst);
+                dst += g_op * kq * pw;
             }
         }
     }

@@ -9,8 +9,10 @@
 #include <mutex>
 #include <random>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
+#include "core/operand_pack.h"
 #include "core/pair_pass.h"
 #include "util/fnv.h"
 #include "util/logging.h"
@@ -140,15 +142,18 @@ checksumOf(const KernelCostTable &t)
 /**
  * Deterministic synthetic operands for one kernel family: a kk-step
  * band with an every-other-step skip list for the gather kernels and
- * pre-interleaved paired planes for the stream kernels. Values are
- * seeded (identical on every host) and irrelevant to the integer
- * kernels' timing; only the shapes matter.
+ * s8/u8 quad planes for the stream kernels. Values are seeded
+ * (identical on every host) and irrelevant to the integer kernels'
+ * timing; only the shapes matter. Streams are timed per quad call but
+ * priced per step pair (`pairs` units), the cost model's unit.
  */
 struct SyntheticOperands
 {
-    std::size_t kk = 0, nk = 0, pairs = 0;
+    std::size_t kk = 0, nk = 0, pairs = 0, quads = 0;
     int v = 0;
-    std::vector<std::int16_t> wp, xp, wq, xq;
+    std::vector<std::int16_t> wp, xp;
+    std::vector<std::int8_t> wq;
+    std::vector<std::uint8_t> xq;
     std::vector<std::uint32_t> ks;
     std::vector<std::int32_t> pacc;
 };
@@ -162,17 +167,18 @@ makeOperands(int v)
     const std::size_t uv = static_cast<std::size_t>(v);
     std::mt19937 rng(0x9e3779b9u);
     std::uniform_int_distribution<int> dist(-3, 3);
-    const auto fill = [&](std::vector<std::int16_t> &vec,
-                          std::size_t size) {
+    const auto fill = [&](auto &vec, std::size_t size, int bias) {
         vec.resize(size);
         for (auto &e : vec)
-            e = static_cast<std::int16_t>(dist(rng));
+            e = static_cast<std::remove_reference_t<decltype(e)>>(
+                dist(rng) + bias);
     };
-    fill(ops.wp, ops.kk * uv);
-    fill(ops.xp, ops.kk * uv); // xp row length n = v, ng_off = 0
-    ops.pairs = (ops.kk + 1) / 2;
-    fill(ops.wq, ops.pairs * 2 * uv);
-    fill(ops.xq, ops.pairs * 2 * uv);
+    fill(ops.wp, ops.kk * uv, 0);
+    fill(ops.xp, ops.kk * uv, 0); // xp row length n = v, ng_off = 0
+    ops.pairs = pairCount(ops.kk);
+    ops.quads = quadCount(ops.kk);
+    fill(ops.wq, ops.quads * 4 * uv, 0);
+    fill(ops.xq, ops.quads * 4 * uv, 3); // u8 activations: [0, 6]
     for (std::size_t k = 0; k < ops.kk; k += 2)
         ops.ks.push_back(static_cast<std::uint32_t>(k));
     ops.nk = ops.ks.size();
@@ -234,7 +240,7 @@ measureAll(KernelCostTable &t)
                     o.nk);
                 e.stream_ps_per_pair = psPerUnit(
                     [&] {
-                        kern.stream4(o.wq.data(), o.xq.data(), o.pairs,
+                        kern.stream4(o.wq.data(), o.xq.data(), o.quads,
                                      o.pacc.data());
                     },
                     o.pairs);
@@ -258,7 +264,7 @@ measureAll(KernelCostTable &t)
                 e.stream_ps_per_pair = psPerUnit(
                     [&] {
                         kern.streamGeneric(o.wq.data(), o.xq.data(),
-                                           o.pairs, o.v, o.pacc.data());
+                                           o.quads, o.v, o.pacc.data());
                     },
                     o.pairs);
                 e.measured = true;

@@ -5,11 +5,12 @@
  *
  * The engines can execute a pair pass two ways: GATHER an nk-long skip
  * list of dense reduction steps, or STREAM a masked-dense copy of all
- * kk steps (pairCount(kk) pre-interleaved step pairs; see
- * core/operand_pack.h). Both sum exactly the same products, so the
- * choice is pure throughput - and the right threshold depends on the
- * host's actual ratio of stream to gather cost, which the historical
- * static rule (stream once 2*nk >= kk) merely guesses at 2:1.
+ * kk steps (quadCount(kk) 8-bit step quads, priced as pairCount(kk)
+ * step pairs; see core/operand_pack.h). Both sum exactly the same
+ * products, so the choice is pure throughput - and the right threshold
+ * depends on the host's actual ratio of stream to gather cost, which
+ * the historical static rule (stream once 2*nk >= kk) merely guesses
+ * at 2:1.
  *
  * This module microbenchmarks that ratio ONCE per host: per kernel
  * family (fixed v = 4 vs runtime-v) x ISA tier it times the gather
@@ -100,7 +101,9 @@ struct KernelCostEntry
     /// back to the static rule for it.
     bool measured = false;
     std::uint64_t gather_ps_per_step = 0; ///< gather cost per list step
-    std::uint64_t stream_ps_per_pair = 0; ///< stream cost per step pair
+    /// stream cost per step pair (two reduction steps; the kernels run
+    /// whole quads, and a quad costs two pairs)
+    std::uint64_t stream_ps_per_pair = 0;
 };
 
 /**
@@ -117,8 +120,12 @@ struct KernelCostTable
     KernelCostEntry entries[kIsaLevelCount][kKernelFamilyCount];
 };
 
-/** Current calibration-file format version. */
-inline constexpr std::uint32_t kKernelCostVersion = 1;
+/**
+ * Current calibration-file format version. 2: streams run on the 8-bit
+ * quad layout, so files priced on the int16 paired streams (1) are
+ * re-measured, not loaded.
+ */
+inline constexpr std::uint32_t kKernelCostVersion = 2;
 
 /**
  * The process-wide calibration, resolved lazily on first use: load

@@ -2,9 +2,9 @@
  * @file
  * Internal operand-preparation helpers of the blocked AQS-GEMM band
  * (which also runs the legacy bit-slice GEMM): per-n-group skip lists
- * derived from an HO compression mask, and int16 widening of slice
- * planes into the contiguous [level][k][n] layout the pair-pass
- * micro-kernels read (see core/pair_pass.h).
+ * derived from an HO compression mask, int16 widening of slice planes
+ * into the contiguous [level][k][n] layout the gather passes read, and
+ * the 8-bit quad layout the stream passes read (see core/pair_pass.h).
  */
 
 #ifndef PANACEA_CORE_OPERAND_PACK_H
@@ -17,6 +17,8 @@
 
 #include "core/kernel_cost_model.h"
 #include "slicing/slice_tensor.h"
+#include "slicing/slice_types.h"
+#include "util/logging.h"
 #include "util/matrix.h"
 #include "util/parallel_for.h"
 
@@ -170,55 +172,106 @@ buildSkipLists(const MatrixU8 &mask)
     return out;
 }
 
-/** @return step pairs covering kk reduction steps (odd kk pads one). */
+/**
+ * @return step pairs covering kk reduction steps (odd kk pads one): the
+ * unit the cost model prices streams in (stream_ps_per_pair; see
+ * core/kernel_cost_model.h), two reduction steps each.
+ */
 inline std::size_t
 pairCount(std::size_t kk)
 {
     return (kk + 1) / 2;
 }
 
-/**
- * Pre-interleaved ("paired") copies of a matrix's slice planes for the
- * streaming pair passes (PairStream4Fn in core/pair_pass.h), blocked
- * per column group so a pass reads one contiguous run:
- *
- *   out[((l * n_groups + ng) * kkp + k2) * 2v + 2j + s]
- *     = plane_l(2*k2 + s, ng*v + j)
- *
- * with kkp = pairCount(kk); an odd trailing step stays zero. When
- * `ho_mask` (K x N/v, 1 = compressed) is non-null, the HO plane's
- * compressed vectors are stored as zeros, so a dense stream over the
- * masked plane sums exactly the skip list's dense steps. Parallel over
- * column groups; chunks write disjoint blocks of the pre-sized output,
- * so the result is byte-identical for any thread count.
- */
-inline std::vector<std::int16_t>
-pairedSlicePlanes(const SlicedMatrix &sliced, int v,
-                  const MatrixU8 *ho_mask)
+/** @return step quads covering kk reduction steps (the tail pads). */
+inline std::size_t
+quadCount(std::size_t kk)
 {
+    return (kk + 3) / 4;
+}
+
+/// Slice bounds the quad stream kernels rely on (core/pair_pass.h):
+/// weight slices |w| <= 8 (stored s8), activation slices
+/// 0 <= x <= 63 (stored u8).
+inline constexpr int kQuadWeightAbsMax = 8;
+inline constexpr int kQuadActMax = 63;
+
+/**
+ * What the quad layout adds to every stored activation slice: signed
+ * (SBR) activation planes - only the Sibia front end has them - are
+ * stored as x + 8 so they fit u8; the band subtracts 8 * sum(w) per
+ * output row of each such pass (quadRowSums). Unsigned planes are
+ * stored as they are.
+ */
+inline int
+quadActOffset(const SlicedMatrix &x)
+{
+    return x.signedSlices ? -signedSliceMin : 0;
+}
+
+/**
+ * The quad packers' precondition, checked once per operand from the
+ * plane metadata rather than per element: every slice the metadata
+ * admits ([-8, 7] for signed planes, [0, 15] for unsigned ones) must,
+ * after `offset`, lie in [lo, hi].
+ */
+inline void
+checkQuadSliceRange(const SlicedMatrix &m, int offset, int lo, int hi,
+                    const char *what)
+{
+    const int min = (m.signedSlices ? signedSliceMin : unsignedSliceMin) +
+                    offset;
+    const int max = (m.signedSlices ? signedSliceMax : unsignedSliceMax) +
+                    offset;
+    panic_if(min < lo || max > hi, what, " slices span [", min, ", ", max,
+             "], outside the quad stream range [", lo, ", ", hi, "]");
+}
+
+/**
+ * 8-bit quad copies of a matrix's activation slice planes for the
+ * streaming passes (PairStream4Fn in core/pair_pass.h), blocked per
+ * column group so a pass reads one contiguous run:
+ *
+ *   out[((l * n_groups + ng) * kq + q) * 4v + 4j + s]
+ *     = plane_l(4q + s, ng*v + j) + quadActOffset(sliced)
+ *
+ * with kq = quadCount(kk); tail steps past kk stay zero. When `ho_mask`
+ * (K x N/v, 1 = compressed) is non-null, the HO plane's compressed
+ * vectors are stored as zero slices (the offset alone), so a dense
+ * stream over the masked plane sums exactly the skip list's dense
+ * steps. Parallel over column groups; chunks write disjoint blocks of
+ * the pre-sized output, so the result is byte-identical for any thread
+ * count.
+ */
+inline std::vector<std::uint8_t>
+quadSlicePlanes(const SlicedMatrix &sliced, int v, const MatrixU8 *ho_mask)
+{
+    const int off = quadActOffset(sliced);
+    checkQuadSliceRange(sliced, off, 0, kQuadActMax, "activation");
     const std::size_t kk = sliced.rows();
     const std::size_t n = sliced.cols();
     const std::size_t levels = sliced.levels();
     const std::size_t uv = static_cast<std::size_t>(v);
     const std::size_t n_groups = n / uv;
-    const std::size_t kkp = pairCount(kk);
-    const std::size_t pw = 2 * uv;
-    std::vector<std::int16_t> out(levels * n_groups * kkp * pw, 0);
+    const std::size_t kq = quadCount(kk);
+    const std::size_t pw = 4 * uv;
+    std::vector<std::uint8_t> out(levels * n_groups * kq * pw, 0);
     for (std::size_t l = 0; l < levels; ++l) {
         const Slice *src = sliced.planes[l].data.data().data();
         const bool is_ho = l + 1 == levels;
         parallelFor(0, n_groups, [&](std::size_t b, std::size_t e, int) {
             for (std::size_t ng = b; ng < e; ++ng) {
-                std::int16_t *dst =
-                    out.data() + (l * n_groups + ng) * kkp * pw;
+                std::uint8_t *dst =
+                    out.data() + (l * n_groups + ng) * kq * pw;
                 for (std::size_t k = 0; k < kk; ++k) {
-                    if (is_ho && ho_mask && (*ho_mask)(k, ng) != 0)
-                        continue; // compressed vector stays zero
+                    // A compressed vector keeps zero slices.
+                    const int keep =
+                        !(is_ho && ho_mask && (*ho_mask)(k, ng) != 0);
                     const Slice *row = src + k * n + ng * uv;
-                    std::int16_t *cell =
-                        dst + (k >> 1) * pw + (k & 1);
+                    std::uint8_t *cell = dst + (k >> 2) * pw + (k & 3);
                     for (std::size_t j = 0; j < uv; ++j)
-                        cell[2 * j] = row[j];
+                        cell[4 * j] =
+                            static_cast<std::uint8_t>(keep * row[j] + off);
                 }
             }
         });
@@ -227,81 +280,103 @@ pairedSlicePlanes(const SlicedMatrix &sliced, int v,
 }
 
 /**
- * Pack one m-band's v rows of every slice plane into the paired-stream
- * layout: wq[(l * kkp + k2) * 2v + 2i + s] = plane_l(mg*v + i, 2*k2+s).
- * Reuses the vector's storage across bands (assign, not reallocate).
+ * Pack one m-band's v rows of every weight slice plane into the quad
+ * layout: wq[(l * kq + q) * 4v + 4i + s] = plane_l(mg*v + i, 4q + s),
+ * tail steps past kk zero. Reuses the vector's storage across bands
+ * (assign, not reallocate).
  */
 inline void
-packWeightBandPaired(const SlicedMatrix &w, std::size_t mg, int v,
-                     std::vector<std::int16_t> &wq)
+packWeightBandQuad(const SlicedMatrix &w, std::size_t mg, int v,
+                   std::vector<std::int8_t> &wq)
 {
+    checkQuadSliceRange(w, 0, -kQuadWeightAbsMax, kQuadWeightAbsMax,
+                        "weight");
     const std::size_t kk = w.cols();
     const std::size_t levels = w.levels();
     const std::size_t uv = static_cast<std::size_t>(v);
-    const std::size_t kkp = pairCount(kk);
-    const std::size_t pw = 2 * uv;
-    wq.assign(levels * kkp * pw, 0);
+    const std::size_t kq = quadCount(kk);
+    const std::size_t pw = 4 * uv;
+    wq.assign(levels * kq * pw, 0);
     for (std::size_t l = 0; l < levels; ++l) {
         const Slice *base = w.planes[l].data.data().data();
-        std::int16_t *dst = wq.data() + l * kkp * pw;
+        std::int8_t *dst = wq.data() + l * kq * pw;
         for (std::size_t i = 0; i < uv; ++i) {
             const Slice *src = base + (mg * uv + i) * kk;
             for (std::size_t k = 0; k < kk; ++k)
-                dst[(k >> 1) * pw + 2 * i + (k & 1)] = src[k];
+                dst[(k >> 2) * pw + 4 * i + (k & 3)] = src[k];
         }
     }
 }
 
 /**
- * Masked copy of one paired band plane (kkp * 2v int16): steps with
+ * Masked copy of one quad band plane (kq * 4v bytes): steps with
  * mask_row[k] != 0 are zeroed, so a dense stream over the copy sums
  * exactly the dense-step list of this band.
  */
 inline void
-maskBandPlanePaired(const std::int16_t *src,
-                    const std::uint8_t *mask_row, std::size_t kk, int v,
-                    std::vector<std::int16_t> &out)
+maskBandPlaneQuad(const std::int8_t *src, const std::uint8_t *mask_row,
+                  std::size_t kk, int v, std::vector<std::int8_t> &out)
 {
     const std::size_t uv = static_cast<std::size_t>(v);
-    const std::size_t kkp = pairCount(kk);
-    const std::size_t pw = 2 * uv;
-    out.assign(kkp * pw, 0);
+    const std::size_t pw = 4 * uv;
+    out.assign(quadCount(kk) * pw, 0);
     for (std::size_t k = 0; k < kk; ++k) {
         if (mask_row[k] != 0)
             continue;
-        const std::size_t base = (k >> 1) * pw + (k & 1);
+        const std::size_t base = (k >> 2) * pw + (k & 3);
         for (std::size_t i = 0; i < uv; ++i)
-            out[base + 2 * i] = src[base + 2 * i];
+            out[base + 4 * i] = src[base + 4 * i];
     }
 }
 
 /**
- * Pack one band's paired-stream weight operands: the unmasked pack
+ * Per-row sums of one quad band plane (kq * 4v bytes): sums[i] is the
+ * sum over every step of row i. A stream over offset activations
+ * (quadActOffset) overcounts row i by offset * sums[i].
+ */
+inline void
+quadRowSums(const std::int8_t *plane, std::size_t kq, int v,
+            std::int32_t *sums)
+{
+    const std::size_t uv = static_cast<std::size_t>(v);
+    const std::size_t pw = 4 * uv;
+    for (std::size_t i = 0; i < uv; ++i) {
+        std::int32_t sum = 0;
+        for (std::size_t q = 0; q < kq; ++q)
+            for (std::size_t s = 0; s < 4; ++s)
+                sum += plane[q * pw + 4 * i + s];
+        sums[i] = sum;
+    }
+}
+
+/**
+ * Pack one band's quad-stream weight operands: the unmasked pack
  * always, and the masked HO copy only when a streamed HO_w pass could
  * actually read it - the band's dense-step list (length wd_size) must
  * be incomplete AND clear the stream decision's profitable()
  * threshold; every HO_w pass's list is at most wd_size long and
  * profitable() is monotone nondecreasing in the list length under
  * every policy (see core/kernel_cost_model.h), so below the threshold
- * the copy is provably dead. The band routes its GEMM-call decision
- * through here, so the precondition and the per-pass choice can never
- * use different policies.
+ * the copy is provably dead (and left empty). The band routes its
+ * GEMM-call decision through here, so the precondition and the
+ * per-pass choice can never use different policies.
  */
 inline void
 packStreamWeightOperands(const SlicedMatrix &w, std::size_t mg, int v,
                          const std::uint8_t *ho_mask_row,
                          std::size_t wd_size,
                          const StreamDecision &decision,
-                         std::vector<std::int16_t> &wq,
-                         std::vector<std::int16_t> &wqm)
+                         std::vector<std::int8_t> &wq,
+                         std::vector<std::int8_t> &wqm)
 {
-    packWeightBandPaired(w, mg, v, wq);
+    packWeightBandQuad(w, mg, v, wq);
     const std::size_t kk = w.cols();
+    wqm.clear();
     if (wd_size != kk && decision.profitable(wd_size, kk)) {
         const std::size_t ho_off =
-            (w.levels() - 1) * pairCount(kk) * 2 *
+            (w.levels() - 1) * quadCount(kk) * 4 *
             static_cast<std::size_t>(v);
-        maskBandPlanePaired(wq.data() + ho_off, ho_mask_row, kk, v, wqm);
+        maskBandPlaneQuad(wq.data() + ho_off, ho_mask_row, kk, v, wqm);
     }
 }
 

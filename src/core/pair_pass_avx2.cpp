@@ -90,35 +90,43 @@ pairPass4Avx2(const std::int16_t *wp, const std::int16_t *xp,
 }
 
 /**
- * Streaming v = 4 pair pass, 256-bit: operands arrive pre-interleaved
+ * Streaming v = 4 pass, 256-bit: operands arrive in the quad layout
  * (see PairStream4Fn in core/pair_pass.h), so every iteration is two
- * 32-byte loads plus four shuffle/vpmaddwd/add triplets retiring FOUR
- * reduction steps - no per-step address computation, interleaving or
- * lane inserts. Exact int32 arithmetic, bit-identical to the gather
- * kernels over the same dense steps.
+ * 32-byte loads plus four shuffle/vpmaddubsw/vpmaddwd/add chains
+ * retiring EIGHT reduction steps - no per-step address computation,
+ * interleaving or lane inserts. Each 128-bit lane holds one quad; the
+ * per-lane dword shuffle broadcasts one output row's four s8 weight
+ * slices, vpmaddubsw sums step pairs of u8 x s8 products into int16
+ * (|.| <= 1008, never saturating) and vpmaddwd against ones folds the
+ * two pairs into the int32 lane. Exact int32 arithmetic, bit-identical
+ * to the gather kernels over the same dense steps.
  */
 void
-pairStream4Avx2(const std::int16_t *wq, const std::int16_t *xq,
-                std::size_t pairs, std::int32_t *pacc)
+pairStream4Avx2(const std::int8_t *wq, const std::uint8_t *xq,
+                std::size_t quads, std::int32_t *pacc)
 {
     __m256i acc0 = _mm256_setzero_si256();
     __m256i acc1 = _mm256_setzero_si256();
     __m256i acc2 = _mm256_setzero_si256();
     __m256i acc3 = _mm256_setzero_si256();
-    std::size_t p = 0;
-    for (; p + 2 <= pairs; p += 2) {
-        const __m256i vb = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(xq + p * 8));
-        const __m256i wab = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(wq + p * 8));
-        acc0 = _mm256_add_epi32(
-            acc0, _mm256_madd_epi16(_mm256_shuffle_epi32(wab, 0x00), vb));
-        acc1 = _mm256_add_epi32(
-            acc1, _mm256_madd_epi16(_mm256_shuffle_epi32(wab, 0x55), vb));
-        acc2 = _mm256_add_epi32(
-            acc2, _mm256_madd_epi16(_mm256_shuffle_epi32(wab, 0xAA), vb));
-        acc3 = _mm256_add_epi32(
-            acc3, _mm256_madd_epi16(_mm256_shuffle_epi32(wab, 0xFF), vb));
+    const __m256i ones = _mm256_set1_epi16(1);
+    const auto dot = [&](__m256i xb, __m256i wb) {
+        return _mm256_madd_epi16(_mm256_maddubs_epi16(xb, wb), ones);
+    };
+    std::size_t q = 0;
+    for (; q + 2 <= quads; q += 2) {
+        const __m256i xb = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(xq + q * 16));
+        const __m256i wb = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(wq + q * 16));
+        acc0 = _mm256_add_epi32(acc0,
+                                dot(xb, _mm256_shuffle_epi32(wb, 0x00)));
+        acc1 = _mm256_add_epi32(acc1,
+                                dot(xb, _mm256_shuffle_epi32(wb, 0x55)));
+        acc2 = _mm256_add_epi32(acc2,
+                                dot(xb, _mm256_shuffle_epi32(wb, 0xAA)));
+        acc3 = _mm256_add_epi32(acc3,
+                                dot(xb, _mm256_shuffle_epi32(wb, 0xFF)));
     }
     const auto fold = [](__m256i a) {
         return _mm_add_epi32(_mm256_castsi256_si128(a),
@@ -128,19 +136,19 @@ pairStream4Avx2(const std::int16_t *wq, const std::int16_t *xq,
     __m128i r1 = fold(acc1);
     __m128i r2 = fold(acc2);
     __m128i r3 = fold(acc3);
-    if (p < pairs) { // odd trailing pair: one 128-bit step
-        const __m128i vb = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(xq + p * 8));
-        const __m128i wab = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(wq + p * 8));
-        r0 = _mm_add_epi32(
-            r0, _mm_madd_epi16(_mm_shuffle_epi32(wab, 0x00), vb));
-        r1 = _mm_add_epi32(
-            r1, _mm_madd_epi16(_mm_shuffle_epi32(wab, 0x55), vb));
-        r2 = _mm_add_epi32(
-            r2, _mm_madd_epi16(_mm_shuffle_epi32(wab, 0xAA), vb));
-        r3 = _mm_add_epi32(
-            r3, _mm_madd_epi16(_mm_shuffle_epi32(wab, 0xFF), vb));
+    if (q < quads) { // odd trailing quad: one 128-bit step
+        const __m128i xb = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(xq + q * 16));
+        const __m128i wb = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(wq + q * 16));
+        const __m128i ones128 = _mm256_castsi256_si128(ones);
+        const auto dot128 = [&](__m128i w) {
+            return _mm_madd_epi16(_mm_maddubs_epi16(xb, w), ones128);
+        };
+        r0 = _mm_add_epi32(r0, dot128(_mm_shuffle_epi32(wb, 0x00)));
+        r1 = _mm_add_epi32(r1, dot128(_mm_shuffle_epi32(wb, 0x55)));
+        r2 = _mm_add_epi32(r2, dot128(_mm_shuffle_epi32(wb, 0xAA)));
+        r3 = _mm_add_epi32(r3, dot128(_mm_shuffle_epi32(wb, 0xFF)));
     }
     _mm_storeu_si128(reinterpret_cast<__m128i *>(pacc + 0), r0);
     _mm_storeu_si128(reinterpret_cast<__m128i *>(pacc + 4), r1);
@@ -207,65 +215,62 @@ pairPassGenericAvx2(const std::int16_t *wp, const std::int16_t *xp,
 }
 
 /**
- * Generic-v streaming pair pass, 256-bit: the runtime-v counterpart of
- * pairStream4Avx2 over the same pre-interleaved 2v-wide paired layout.
- * Per output row an 8-column accumulator block stays in one ymm
- * register across all step pairs; each iteration broadcasts the row's
- * (step, step+1) weight pair and retires TWO reduction steps for eight
- * columns with one vpmaddwd. Narrower column remainders fall to the
+ * Generic-v streaming pass, 256-bit: the runtime-v counterpart of
+ * pairStream4Avx2 over the same quad layout, 4v bytes per quad. Per
+ * output row an 8-column accumulator block stays in one ymm register
+ * across all quads; each iteration broadcasts the row's four s8 weight
+ * slices and retires FOUR reduction steps for eight columns with one
+ * vpmaddubsw + vpmaddwd(ones). Narrower column remainders fall to the
  * 128-bit and scalar tails. Exact int32 arithmetic, bit-identical to
  * the gather kernels over the same dense steps.
  */
 void
-pairStreamGenericAvx2(const std::int16_t *wq, const std::int16_t *xq,
-                      std::size_t pairs, int v, std::int32_t *pacc)
+pairStreamGenericAvx2(const std::int8_t *wq, const std::uint8_t *xq,
+                      std::size_t quads, int v, std::int32_t *pacc)
 {
-    const std::size_t pw = 2 * static_cast<std::size_t>(v);
+    const std::size_t pw = 4 * static_cast<std::size_t>(v);
     const int j8 = v & ~7; // widest multiple-of-8 prefix of the columns
     const int j4 = v & ~3;
+    const __m256i ones = _mm256_set1_epi16(1);
     for (int i = 0; i < v; ++i) {
         std::int32_t *prow = pacc + i * v;
         for (int j = 0; j < j8; j += 8) {
             __m256i acc = _mm256_setzero_si256();
-            for (std::size_t p = 0; p < pairs; ++p) {
-                std::int32_t wpair;
-                __builtin_memcpy(&wpair, wq + p * pw + 2 * i,
-                                 sizeof wpair);
+            for (std::size_t q = 0; q < quads; ++q) {
+                std::int32_t wquad;
+                __builtin_memcpy(&wquad, wq + q * pw + 4 * i,
+                                 sizeof wquad);
                 const __m256i xb = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(xq + p * pw +
-                                                      2 * j));
+                    reinterpret_cast<const __m256i *>(xq + q * pw +
+                                                      4 * j));
                 acc = _mm256_add_epi32(
-                    acc,
-                    _mm256_madd_epi16(_mm256_set1_epi32(wpair), xb));
+                    acc, _mm256_madd_epi16(
+                             _mm256_maddubs_epi16(
+                                 xb, _mm256_set1_epi32(wquad)),
+                             ones));
             }
             _mm256_storeu_si256(reinterpret_cast<__m256i *>(prow + j),
                                 acc);
         }
         if (j4 > j8) {
             __m128i acc = _mm_setzero_si128();
-            for (std::size_t p = 0; p < pairs; ++p) {
-                std::int32_t wpair;
-                __builtin_memcpy(&wpair, wq + p * pw + 2 * i,
-                                 sizeof wpair);
+            for (std::size_t q = 0; q < quads; ++q) {
+                std::int32_t wquad;
+                __builtin_memcpy(&wquad, wq + q * pw + 4 * i,
+                                 sizeof wquad);
                 const __m128i xb = _mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(xq + p * pw +
-                                                      2 * j8));
+                    reinterpret_cast<const __m128i *>(xq + q * pw +
+                                                      4 * j8));
                 acc = _mm_add_epi32(
-                    acc, _mm_madd_epi16(_mm_set1_epi32(wpair), xb));
+                    acc, _mm_madd_epi16(
+                             _mm_maddubs_epi16(xb, _mm_set1_epi32(wquad)),
+                             _mm256_castsi256_si128(ones)));
             }
             _mm_storeu_si128(reinterpret_cast<__m128i *>(prow + j8),
                              acc);
         }
-        for (int j = j4; j < v; ++j) {
-            std::int32_t sum = 0;
-            for (std::size_t p = 0; p < pairs; ++p) {
-                const std::int16_t *wr = wq + p * pw + 2 * i;
-                const std::int16_t *xr = xq + p * pw + 2 * j;
-                sum += static_cast<std::int32_t>(wr[0]) * xr[0] +
-                       static_cast<std::int32_t>(wr[1]) * xr[1];
-            }
-            prow[j] = sum;
-        }
+        for (int j = j4; j < v; ++j)
+            prow[j] = quadDotScalar(wq + 4 * i, xq + 4 * j, quads, pw);
     }
 }
 

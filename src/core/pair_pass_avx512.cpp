@@ -106,89 +106,58 @@ pairPass4Avx512(const std::int16_t *wp, const std::int16_t *xp,
 }
 
 /**
- * Streaming v = 4 pair pass, 512-bit: two 64-byte loads plus four
- * shuffle/vpmaddwd/add triplets retire EIGHT reduction steps per
- * iteration over pre-interleaved operands (see PairStream4Fn). The
- * trailing < 4 pairs fall through 256-bit and 128-bit steps. Exact
- * int32 arithmetic, bit-identical to the gather kernels over the same
- * dense steps.
+ * Streaming v = 4 pass, 512-bit: two 64-byte loads plus four
+ * shuffle/vpmaddubsw/vpmaddwd/add chains retire SIXTEEN reduction
+ * steps per iteration over the quad layout (see PairStream4Fn). Each
+ * 128-bit lane holds one quad; the per-lane dword shuffle broadcasts
+ * one output row's four s8 weight slices, vpmaddubsw sums step pairs
+ * of u8 x s8 products into int16 (|.| <= 1008, never saturating), and
+ * vpmaddwd against ones folds the two pairs into the int32 lane. A
+ * tail of < 4 quads is one more iteration over zero-masked loads.
+ * Exact int32 arithmetic, bit-identical to the gather kernels over the
+ * same dense steps.
  */
 void
-pairStream4Avx512(const std::int16_t *wq, const std::int16_t *xq,
-                  std::size_t pairs, std::int32_t *pacc)
+pairStream4Avx512(const std::int8_t *wq, const std::uint8_t *xq,
+                  std::size_t quads, std::int32_t *pacc)
 {
     __m512i acc0 = _mm512_setzero_si512();
     __m512i acc1 = _mm512_setzero_si512();
     __m512i acc2 = _mm512_setzero_si512();
     __m512i acc3 = _mm512_setzero_si512();
-    std::size_t p = 0;
-    for (; p + 4 <= pairs; p += 4) {
-        const __m512i vb = _mm512_loadu_si512(xq + p * 8);
-        const __m512i wab = _mm512_loadu_si512(wq + p * 8);
+    const __m512i ones = _mm512_set1_epi16(1);
+    const auto dot = [&](__m512i xb, __m512i wb) {
+        return _mm512_madd_epi16(_mm512_maddubs_epi16(xb, wb), ones);
+    };
+    const auto step = [&](__m512i xb, __m512i wb) {
         acc0 = _mm512_add_epi32(
-            acc0, _mm512_madd_epi16(
-                      _mm512_shuffle_epi32(wab, _MM_PERM_AAAA), vb));
+            acc0, dot(xb, _mm512_shuffle_epi32(wb, _MM_PERM_AAAA)));
         acc1 = _mm512_add_epi32(
-            acc1, _mm512_madd_epi16(
-                      _mm512_shuffle_epi32(wab, _MM_PERM_BBBB), vb));
+            acc1, dot(xb, _mm512_shuffle_epi32(wb, _MM_PERM_BBBB)));
         acc2 = _mm512_add_epi32(
-            acc2, _mm512_madd_epi16(
-                      _mm512_shuffle_epi32(wab, _MM_PERM_CCCC), vb));
+            acc2, dot(xb, _mm512_shuffle_epi32(wb, _MM_PERM_CCCC)));
         acc3 = _mm512_add_epi32(
-            acc3, _mm512_madd_epi16(
-                      _mm512_shuffle_epi32(wab, _MM_PERM_DDDD), vb));
+            acc3, dot(xb, _mm512_shuffle_epi32(wb, _MM_PERM_DDDD)));
+    };
+    std::size_t q = 0;
+    for (; q + 4 <= quads; q += 4)
+        step(_mm512_loadu_si512(xq + q * 16),
+             _mm512_loadu_si512(wq + q * 16));
+    if (q < quads) {
+        const __mmask64 tail = (__mmask64{1} << ((quads - q) * 16)) - 1;
+        step(_mm512_maskz_loadu_epi8(tail, xq + q * 16),
+             _mm512_maskz_loadu_epi8(tail, wq + q * 16));
     }
-    const auto fold512 = [](__m512i a) {
+    const auto fold = [](__m512i a) {
         const __m256i s = _mm256_add_epi32(
             _mm512_castsi512_si256(a), _mm512_extracti64x4_epi64(a, 1));
         return _mm_add_epi32(_mm256_castsi256_si128(s),
                              _mm256_extracti128_si256(s, 1));
     };
-    __m128i r0 = fold512(acc0);
-    __m128i r1 = fold512(acc1);
-    __m128i r2 = fold512(acc2);
-    __m128i r3 = fold512(acc3);
-    if (p + 2 <= pairs) {
-        const __m256i vb = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(xq + p * 8));
-        const __m256i wab = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(wq + p * 8));
-        const auto fold256 = [](__m256i a) {
-            return _mm_add_epi32(_mm256_castsi256_si128(a),
-                                 _mm256_extracti128_si256(a, 1));
-        };
-        r0 = _mm_add_epi32(
-            r0, fold256(_mm256_madd_epi16(
-                    _mm256_shuffle_epi32(wab, 0x00), vb)));
-        r1 = _mm_add_epi32(
-            r1, fold256(_mm256_madd_epi16(
-                    _mm256_shuffle_epi32(wab, 0x55), vb)));
-        r2 = _mm_add_epi32(
-            r2, fold256(_mm256_madd_epi16(
-                    _mm256_shuffle_epi32(wab, 0xAA), vb)));
-        r3 = _mm_add_epi32(
-            r3, fold256(_mm256_madd_epi16(
-                    _mm256_shuffle_epi32(wab, 0xFF), vb)));
-        p += 2;
-    }
-    if (p < pairs) {
-        const __m128i vb = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(xq + p * 8));
-        const __m128i wab = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(wq + p * 8));
-        r0 = _mm_add_epi32(
-            r0, _mm_madd_epi16(_mm_shuffle_epi32(wab, 0x00), vb));
-        r1 = _mm_add_epi32(
-            r1, _mm_madd_epi16(_mm_shuffle_epi32(wab, 0x55), vb));
-        r2 = _mm_add_epi32(
-            r2, _mm_madd_epi16(_mm_shuffle_epi32(wab, 0xAA), vb));
-        r3 = _mm_add_epi32(
-            r3, _mm_madd_epi16(_mm_shuffle_epi32(wab, 0xFF), vb));
-    }
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(pacc + 0), r0);
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(pacc + 4), r1);
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(pacc + 8), r2);
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(pacc + 12), r3);
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(pacc + 0), fold(acc0));
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(pacc + 4), fold(acc1));
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(pacc + 8), fold(acc2));
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(pacc + 12), fold(acc3));
 }
 
 /**
@@ -257,81 +226,35 @@ pairPassGenericAvx512(const std::int16_t *wp, const std::int16_t *xp,
 }
 
 /**
- * Generic-v streaming pair pass, 512-bit: the runtime-v counterpart of
- * pairStream4Avx512 over the pre-interleaved 2v-wide paired layout.
- * Per output row a 16-column accumulator block stays in one zmm
- * register across all step pairs (v = 16 rows are a single block);
- * each iteration broadcasts the row's (step, step+1) weight pair and
- * retires TWO reduction steps for sixteen columns with one vpmaddwd.
- * Narrower column remainders fall to the 256/128-bit and scalar tails.
- * Exact int32 arithmetic, bit-identical to the gather kernels over the
- * same dense steps.
+ * Generic-v streaming pass, 512-bit: one quad of all v <= 16 columns
+ * (4v bytes) is one zero-masked load, so per output row the whole
+ * accumulator row stays in one zmm register; every quad is one
+ * broadcast + vpmaddubsw + vpmaddwd(ones) + add. Exact int32
+ * arithmetic, bit-identical to the gather kernels over the same dense
+ * steps.
  */
 void
-pairStreamGenericAvx512(const std::int16_t *wq, const std::int16_t *xq,
-                        std::size_t pairs, int v, std::int32_t *pacc)
+pairStreamGenericAvx512(const std::int8_t *wq, const std::uint8_t *xq,
+                        std::size_t quads, int v, std::int32_t *pacc)
 {
-    const std::size_t pw = 2 * static_cast<std::size_t>(v);
-    const int j16 = v & ~15; // widest multiple-of-16 column prefix
-    const int j8 = v & ~7;
-    const int j4 = v & ~3;
+    const std::size_t pw = 4 * static_cast<std::size_t>(v);
+    const __mmask64 cols = v == 16 ? ~__mmask64{0}
+                                   : (__mmask64{1} << pw) - 1;
+    const __mmask16 lanes = static_cast<__mmask16>((1u << v) - 1);
+    const __m512i ones = _mm512_set1_epi16(1);
     for (int i = 0; i < v; ++i) {
-        std::int32_t *prow = pacc + i * v;
-        for (int j = 0; j < j16; j += 16) {
-            __m512i acc = _mm512_setzero_si512();
-            for (std::size_t p = 0; p < pairs; ++p) {
-                std::int32_t wpair;
-                __builtin_memcpy(&wpair, wq + p * pw + 2 * i,
-                                 sizeof wpair);
-                const __m512i xb = _mm512_loadu_si512(xq + p * pw +
-                                                      2 * j);
-                acc = _mm512_add_epi32(
-                    acc,
-                    _mm512_madd_epi16(_mm512_set1_epi32(wpair), xb));
-            }
-            _mm512_storeu_si512(prow + j, acc);
+        __m512i acc = _mm512_setzero_si512();
+        for (std::size_t q = 0; q < quads; ++q) {
+            std::int32_t wquad;
+            __builtin_memcpy(&wquad, wq + q * pw + 4 * i, sizeof wquad);
+            acc = _mm512_add_epi32(
+                acc, _mm512_madd_epi16(
+                         _mm512_maddubs_epi16(
+                             _mm512_maskz_loadu_epi8(cols, xq + q * pw),
+                             _mm512_set1_epi32(wquad)),
+                         ones));
         }
-        if (j8 > j16) {
-            __m256i acc = _mm256_setzero_si256();
-            for (std::size_t p = 0; p < pairs; ++p) {
-                std::int32_t wpair;
-                __builtin_memcpy(&wpair, wq + p * pw + 2 * i,
-                                 sizeof wpair);
-                const __m256i xb = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(xq + p * pw +
-                                                      2 * j16));
-                acc = _mm256_add_epi32(
-                    acc,
-                    _mm256_madd_epi16(_mm256_set1_epi32(wpair), xb));
-            }
-            _mm256_storeu_si256(reinterpret_cast<__m256i *>(prow + j16),
-                                acc);
-        }
-        if (j4 > j8) {
-            __m128i acc = _mm_setzero_si128();
-            for (std::size_t p = 0; p < pairs; ++p) {
-                std::int32_t wpair;
-                __builtin_memcpy(&wpair, wq + p * pw + 2 * i,
-                                 sizeof wpair);
-                const __m128i xb = _mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(xq + p * pw +
-                                                      2 * j8));
-                acc = _mm_add_epi32(
-                    acc, _mm_madd_epi16(_mm_set1_epi32(wpair), xb));
-            }
-            _mm_storeu_si128(reinterpret_cast<__m128i *>(prow + j8),
-                             acc);
-        }
-        for (int j = j4; j < v; ++j) {
-            std::int32_t sum = 0;
-            for (std::size_t p = 0; p < pairs; ++p) {
-                const std::int16_t *wr = wq + p * pw + 2 * i;
-                const std::int16_t *xr = xq + p * pw + 2 * j;
-                sum += static_cast<std::int32_t>(wr[0]) * xr[0] +
-                       static_cast<std::int32_t>(wr[1]) * xr[1];
-            }
-            prow[j] = sum;
-        }
+        _mm512_mask_storeu_epi32(pacc + i * v, lanes, acc);
     }
 }
 

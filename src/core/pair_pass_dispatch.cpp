@@ -107,46 +107,55 @@ pairPass4Sse2(const std::int16_t *wp, const std::int16_t *xp,
 }
 
 /**
- * Generic-v streaming pair pass, 128-bit: operands arrive
- * pre-interleaved in the 2v-wide paired layout (PairStreamGenericFn in
- * core/pair_pass.h). Per output row a 4-column accumulator block stays
- * in one xmm register across all step pairs; each iteration broadcasts
- * the row's (step, step+1) weight pair and retires TWO reduction steps
- * for four columns with one pmaddwd - no skip-list indirection, no
- * per-step interleaving. Exact int32 arithmetic, bit-identical to the
- * gather kernels over the same dense steps.
+ * Generic-v streaming pass, 128-bit: operands arrive in the quad layout
+ * (PairStreamGenericFn in core/pair_pass.h), 4v bytes per quad. SSE2
+ * has no vpmaddubsw, so the quads are widened in-register: per output
+ * row the four s8 weight slices are sign-extended once per quad and
+ * repeated to eight int16, and each 16-byte block of four columns is
+ * zero-extended into two int16 halves, so one pmaddwd per half sums
+ * step pairs of two columns. The two step-pair sums of a column are
+ * folded once at the end - no skip-list indirection, no per-step
+ * interleaving. Exact int32 arithmetic, bit-identical to the gather
+ * kernels over the same dense steps.
  */
 void
-pairStreamGenericSse2(const std::int16_t *wq, const std::int16_t *xq,
-                      std::size_t pairs, int v, std::int32_t *pacc)
+pairStreamGenericSse2(const std::int8_t *wq, const std::uint8_t *xq,
+                      std::size_t quads, int v, std::int32_t *pacc)
 {
-    const std::size_t pw = 2 * static_cast<std::size_t>(v);
+    const std::size_t pw = 4 * static_cast<std::size_t>(v);
     const int j4 = v & ~3; // widest multiple-of-4 prefix of the columns
+    const __m128i zero = _mm_setzero_si128();
     for (int i = 0; i < v; ++i) {
         std::int32_t *prow = pacc + i * v;
         for (int j = 0; j < j4; j += 4) {
-            __m128i acc = _mm_setzero_si128();
-            for (std::size_t p = 0; p < pairs; ++p) {
-                std::int32_t wpair;
-                std::memcpy(&wpair, wq + p * pw + 2 * i, sizeof wpair);
+            // lo: steps {01, 23} of columns j, j+1; hi: of j+2, j+3.
+            __m128i lo = _mm_setzero_si128();
+            __m128i hi = _mm_setzero_si128();
+            for (std::size_t q = 0; q < quads; ++q) {
+                std::int32_t wquad;
+                std::memcpy(&wquad, wq + q * pw + 4 * i, sizeof wquad);
+                const __m128i w8 = _mm_cvtsi32_si128(wquad);
+                __m128i w16 = _mm_srai_epi16(_mm_unpacklo_epi8(w8, w8), 8);
+                w16 = _mm_unpacklo_epi64(w16, w16);
                 const __m128i xb = _mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(xq + p * pw +
-                                                      2 * j));
-                acc = _mm_add_epi32(
-                    acc, _mm_madd_epi16(_mm_set1_epi32(wpair), xb));
+                    reinterpret_cast<const __m128i *>(xq + q * pw +
+                                                      4 * j));
+                lo = _mm_add_epi32(
+                    lo, _mm_madd_epi16(_mm_unpacklo_epi8(xb, zero), w16));
+                hi = _mm_add_epi32(
+                    hi, _mm_madd_epi16(_mm_unpackhi_epi8(xb, zero), w16));
             }
-            _mm_storeu_si128(reinterpret_cast<__m128i *>(prow + j), acc);
+            const __m128 lf = _mm_castsi128_ps(lo);
+            const __m128 hf = _mm_castsi128_ps(hi);
+            const __m128i even = _mm_castps_si128(
+                _mm_shuffle_ps(lf, hf, _MM_SHUFFLE(2, 0, 2, 0)));
+            const __m128i odd = _mm_castps_si128(
+                _mm_shuffle_ps(lf, hf, _MM_SHUFFLE(3, 1, 3, 1)));
+            _mm_storeu_si128(reinterpret_cast<__m128i *>(prow + j),
+                             _mm_add_epi32(even, odd));
         }
-        for (int j = j4; j < v; ++j) {
-            std::int32_t sum = 0;
-            for (std::size_t p = 0; p < pairs; ++p) {
-                const std::int16_t *wr = wq + p * pw + 2 * i;
-                const std::int16_t *xr = xq + p * pw + 2 * j;
-                sum += static_cast<std::int32_t>(wr[0]) * xr[0] +
-                       static_cast<std::int32_t>(wr[1]) * xr[1];
-            }
-            prow[j] = sum;
-        }
+        for (int j = j4; j < v; ++j)
+            prow[j] = quadDotScalar(wq + 4 * i, xq + 4 * j, quads, pw);
     }
 }
 

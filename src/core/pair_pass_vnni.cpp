@@ -1,16 +1,20 @@
 /**
  * @file
  * AVX512-VNNI pair-pass micro-kernels. Identical data movement to the
- * AVX-512 variants (pair_pass_avx512.cpp), but every
- * madd+add accumulate pair is one vpdpwssd (_mm512_dpwssd_epi32):
- * acc += madd(w, x) in a single instruction, halving the accumulate
- * uops on the hot loops. vpdpwssd is non-saturating - each dword lane
- * wraps mod 2^32 exactly like pmaddwd followed by paddd - so outputs
- * stay bit-identical to every other tier. This translation unit is the
+ * AVX-512 variants (pair_pass_avx512.cpp), but every multiply-add
+ * chain is one instruction: the gather pass's madd+add pair is one
+ * vpdpwssd (_mm512_dpwssd_epi32), the quad stream's
+ * maddubs+madd+add triple one vpdpbusd (_mm512_dpbusd_epi32). Both
+ * are the non-saturating forms - each dword lane wraps mod 2^32
+ * exactly like the sequences they replace - so outputs stay
+ * bit-identical to every other tier. This translation unit is the
  * only one compiled with -mavx512vnni (gated on compiler support; see
  * CMakeLists.txt) and its symbols are only reachable through the
- * dispatch table after a cpuid + xgetbv check. Tails use plain
- * AVX-512/SSE madd+add (bit-identical) so the TU needs no AVX512VL.
+ * dispatch table after a cpuid + xgetbv check. The gather tails use
+ * plain AVX-512/SSE madd+add (bit-identical), and the quad streams use
+ * vpdpbusd (u8 x s8, four steps per lane; see core/pair_pass.h) with
+ * zero-masked 512-bit loads for their tails, so the TU needs no
+ * AVX512VL.
  */
 
 #include "core/pair_pass.h"
@@ -105,159 +109,105 @@ pairPass4Vnni(const std::int16_t *wp, const std::int16_t *xp,
 }
 
 /**
- * Streaming v = 4 pair pass, 512-bit VNNI: two 64-byte loads plus four
- * shuffle/vpdpwssd pairs retire EIGHT reduction steps per iteration
- * over pre-interleaved operands (see PairStream4Fn). The trailing < 4
- * pairs fall through plain AVX-512 256-bit and 128-bit madd+add steps
- * (no AVX512VL vpdpwssd needed; same exact sums). Bit-identical to the
- * gather kernels over the same dense steps.
+ * Streaming v = 4 pass, 512-bit VNNI: two 64-byte loads plus four
+ * shuffle/vpdpbusd pairs retire SIXTEEN reduction steps per step call
+ * over the quad layout (see PairStream4Fn): each 128-bit lane holds
+ * one quad, the per-lane dword shuffle broadcasts one output row's four
+ * weight slices, and vpdpbusd adds the four u8 x s8 products of every
+ * (row, column) lane into int32 without saturating. A tail of < 4
+ * quads is one more iteration over zero-masked loads (AVX512BW), so
+ * no narrower code path is needed. Bit-identical to the gather kernels
+ * over the same dense steps.
  */
 void
-pairStream4Vnni(const std::int16_t *wq, const std::int16_t *xq,
-                std::size_t pairs, std::int32_t *pacc)
+pairStream4Vnni(const std::int8_t *wq, const std::uint8_t *xq,
+                std::size_t quads, std::int32_t *pacc)
 {
-    __m512i acc0 = _mm512_setzero_si512();
-    __m512i acc1 = _mm512_setzero_si512();
-    __m512i acc2 = _mm512_setzero_si512();
-    __m512i acc3 = _mm512_setzero_si512();
-    std::size_t p = 0;
-    for (; p + 4 <= pairs; p += 4) {
-        const __m512i vb = _mm512_loadu_si512(xq + p * 8);
-        const __m512i wab = _mm512_loadu_si512(wq + p * 8);
-        acc0 = _mm512_dpwssd_epi32(
-            acc0, _mm512_shuffle_epi32(wab, _MM_PERM_AAAA), vb);
-        acc1 = _mm512_dpwssd_epi32(
-            acc1, _mm512_shuffle_epi32(wab, _MM_PERM_BBBB), vb);
-        acc2 = _mm512_dpwssd_epi32(
-            acc2, _mm512_shuffle_epi32(wab, _MM_PERM_CCCC), vb);
-        acc3 = _mm512_dpwssd_epi32(
-            acc3, _mm512_shuffle_epi32(wab, _MM_PERM_DDDD), vb);
+    // Two accumulator sets, so consecutive iterations' vpdpbusd chains
+    // overlap instead of waiting on each other's latency.
+    __m512i acc[2][4];
+    for (auto &set : acc)
+        for (__m512i &a : set)
+            a = _mm512_setzero_si512();
+    const auto step = [](__m512i *a, __m512i xb, __m512i wb) {
+        a[0] = _mm512_dpbusd_epi32(
+            a[0], xb, _mm512_shuffle_epi32(wb, _MM_PERM_AAAA));
+        a[1] = _mm512_dpbusd_epi32(
+            a[1], xb, _mm512_shuffle_epi32(wb, _MM_PERM_BBBB));
+        a[2] = _mm512_dpbusd_epi32(
+            a[2], xb, _mm512_shuffle_epi32(wb, _MM_PERM_CCCC));
+        a[3] = _mm512_dpbusd_epi32(
+            a[3], xb, _mm512_shuffle_epi32(wb, _MM_PERM_DDDD));
+    };
+    std::size_t q = 0;
+    for (; q + 8 <= quads; q += 8) {
+        step(acc[0], _mm512_loadu_si512(xq + q * 16),
+             _mm512_loadu_si512(wq + q * 16));
+        step(acc[1], _mm512_loadu_si512(xq + q * 16 + 64),
+             _mm512_loadu_si512(wq + q * 16 + 64));
     }
-    const auto fold512 = [](__m512i a) {
+    if (q + 4 <= quads) {
+        step(acc[0], _mm512_loadu_si512(xq + q * 16),
+             _mm512_loadu_si512(wq + q * 16));
+        q += 4;
+    }
+    if (q < quads) {
+        const __mmask64 tail = (__mmask64{1} << ((quads - q) * 16)) - 1;
+        step(acc[1], _mm512_maskz_loadu_epi8(tail, xq + q * 16),
+             _mm512_maskz_loadu_epi8(tail, wq + q * 16));
+    }
+    const auto fold = [](__m512i a, __m512i b) {
+        a = _mm512_add_epi32(a, b);
         const __m256i s = _mm256_add_epi32(
             _mm512_castsi512_si256(a), _mm512_extracti64x4_epi64(a, 1));
         return _mm_add_epi32(_mm256_castsi256_si128(s),
                              _mm256_extracti128_si256(s, 1));
     };
-    __m128i r0 = fold512(acc0);
-    __m128i r1 = fold512(acc1);
-    __m128i r2 = fold512(acc2);
-    __m128i r3 = fold512(acc3);
-    if (p + 2 <= pairs) {
-        const __m256i vb = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(xq + p * 8));
-        const __m256i wab = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(wq + p * 8));
-        const auto fold256 = [](__m256i a) {
-            return _mm_add_epi32(_mm256_castsi256_si128(a),
-                                 _mm256_extracti128_si256(a, 1));
-        };
-        r0 = _mm_add_epi32(
-            r0, fold256(_mm256_madd_epi16(
-                    _mm256_shuffle_epi32(wab, 0x00), vb)));
-        r1 = _mm_add_epi32(
-            r1, fold256(_mm256_madd_epi16(
-                    _mm256_shuffle_epi32(wab, 0x55), vb)));
-        r2 = _mm_add_epi32(
-            r2, fold256(_mm256_madd_epi16(
-                    _mm256_shuffle_epi32(wab, 0xAA), vb)));
-        r3 = _mm_add_epi32(
-            r3, fold256(_mm256_madd_epi16(
-                    _mm256_shuffle_epi32(wab, 0xFF), vb)));
-        p += 2;
-    }
-    if (p < pairs) {
-        const __m128i vb = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(xq + p * 8));
-        const __m128i wab = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(wq + p * 8));
-        r0 = _mm_add_epi32(
-            r0, _mm_madd_epi16(_mm_shuffle_epi32(wab, 0x00), vb));
-        r1 = _mm_add_epi32(
-            r1, _mm_madd_epi16(_mm_shuffle_epi32(wab, 0x55), vb));
-        r2 = _mm_add_epi32(
-            r2, _mm_madd_epi16(_mm_shuffle_epi32(wab, 0xAA), vb));
-        r3 = _mm_add_epi32(
-            r3, _mm_madd_epi16(_mm_shuffle_epi32(wab, 0xFF), vb));
-    }
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(pacc + 0), r0);
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(pacc + 4), r1);
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(pacc + 8), r2);
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(pacc + 12), r3);
+    for (int i = 0; i < 4; ++i)
+        _mm_storeu_si128(reinterpret_cast<__m128i *>(pacc + 4 * i),
+                         fold(acc[0][i], acc[1][i]));
 }
 
 /**
- * Generic-v streaming pair pass, 512-bit VNNI: the accumulator block of
- * a 16-column row stays in one zmm register and every step pair is one
- * vpdpwssd (vs madd+add in pairStreamGenericAvx512). Narrower column
- * remainders keep the plain AVX-512 256/128-bit and scalar tails.
- * Exact int32 arithmetic, bit-identical to the gather kernels over the
- * same dense steps.
+ * Generic-v streaming pass, 512-bit VNNI: one quad of all v <= 16
+ * columns (4v bytes) is one zero-masked load, so per output row the
+ * whole accumulator row stays in one zmm register and every quad is
+ * one broadcast + vpdpbusd. Exact int32 arithmetic, bit-identical to
+ * the gather kernels over the same dense steps.
  */
 void
-pairStreamGenericVnni(const std::int16_t *wq, const std::int16_t *xq,
-                      std::size_t pairs, int v, std::int32_t *pacc)
+pairStreamGenericVnni(const std::int8_t *wq, const std::uint8_t *xq,
+                      std::size_t quads, int v, std::int32_t *pacc)
 {
-    const std::size_t pw = 2 * static_cast<std::size_t>(v);
-    const int j16 = v & ~15; // widest multiple-of-16 column prefix
-    const int j8 = v & ~7;
-    const int j4 = v & ~3;
+    const std::size_t pw = 4 * static_cast<std::size_t>(v);
+    const __mmask64 cols = v == 16 ? ~__mmask64{0}
+                                   : (__mmask64{1} << pw) - 1;
+    const __mmask16 lanes = static_cast<__mmask16>((1u << v) - 1);
+    const auto dot = [&](__m512i a, int i, std::size_t q) {
+        std::int32_t wquad;
+        __builtin_memcpy(&wquad, wq + q * pw + 4 * i, sizeof wquad);
+        return _mm512_dpbusd_epi32(
+            a, _mm512_maskz_loadu_epi8(cols, xq + q * pw),
+            _mm512_set1_epi32(wquad));
+    };
     for (int i = 0; i < v; ++i) {
-        std::int32_t *prow = pacc + i * v;
-        for (int j = 0; j < j16; j += 16) {
-            __m512i acc = _mm512_setzero_si512();
-            for (std::size_t p = 0; p < pairs; ++p) {
-                std::int32_t wpair;
-                __builtin_memcpy(&wpair, wq + p * pw + 2 * i,
-                                 sizeof wpair);
-                const __m512i xb = _mm512_loadu_si512(xq + p * pw +
-                                                      2 * j);
-                acc = _mm512_dpwssd_epi32(acc, _mm512_set1_epi32(wpair),
-                                          xb);
-            }
-            _mm512_storeu_si512(prow + j, acc);
+        // Four independent chains hide the vpdpbusd latency.
+        __m512i a0 = _mm512_setzero_si512();
+        __m512i a1 = _mm512_setzero_si512();
+        __m512i a2 = _mm512_setzero_si512();
+        __m512i a3 = _mm512_setzero_si512();
+        std::size_t q = 0;
+        for (; q + 4 <= quads; q += 4) {
+            a0 = dot(a0, i, q);
+            a1 = dot(a1, i, q + 1);
+            a2 = dot(a2, i, q + 2);
+            a3 = dot(a3, i, q + 3);
         }
-        if (j8 > j16) {
-            __m256i acc = _mm256_setzero_si256();
-            for (std::size_t p = 0; p < pairs; ++p) {
-                std::int32_t wpair;
-                __builtin_memcpy(&wpair, wq + p * pw + 2 * i,
-                                 sizeof wpair);
-                const __m256i xb = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(xq + p * pw +
-                                                      2 * j16));
-                acc = _mm256_add_epi32(
-                    acc,
-                    _mm256_madd_epi16(_mm256_set1_epi32(wpair), xb));
-            }
-            _mm256_storeu_si256(reinterpret_cast<__m256i *>(prow + j16),
-                                acc);
-        }
-        if (j4 > j8) {
-            __m128i acc = _mm_setzero_si128();
-            for (std::size_t p = 0; p < pairs; ++p) {
-                std::int32_t wpair;
-                __builtin_memcpy(&wpair, wq + p * pw + 2 * i,
-                                 sizeof wpair);
-                const __m128i xb = _mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(xq + p * pw +
-                                                      2 * j8));
-                acc = _mm_add_epi32(
-                    acc, _mm_madd_epi16(_mm_set1_epi32(wpair), xb));
-            }
-            _mm_storeu_si128(reinterpret_cast<__m128i *>(prow + j8),
-                             acc);
-        }
-        for (int j = j4; j < v; ++j) {
-            std::int32_t sum = 0;
-            for (std::size_t p = 0; p < pairs; ++p) {
-                const std::int16_t *wr = wq + p * pw + 2 * i;
-                const std::int16_t *xr = xq + p * pw + 2 * j;
-                sum += static_cast<std::int32_t>(wr[0]) * xr[0] +
-                       static_cast<std::int32_t>(wr[1]) * xr[1];
-            }
-            prow[j] = sum;
-        }
+        for (; q < quads; ++q)
+            a0 = dot(a0, i, q);
+        const __m512i acc = _mm512_add_epi32(_mm512_add_epi32(a0, a1),
+                                             _mm512_add_epi32(a2, a3));
+        _mm512_mask_storeu_epi32(pacc + i * v, lanes, acc);
     }
 }
 

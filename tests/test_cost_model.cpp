@@ -381,6 +381,26 @@ TEST(CostModel, CorruptCalibrationFileFallsBackToMeasuring)
     EXPECT_TRUE(detail::reloadKernelCosts());
 }
 
+TEST(CostModel, PreviousVersionCalibrationIsRemeasured)
+{
+    // A file priced on the previous stream layout (version
+    // kKernelCostVersion - 1: the int16 paired streams) is valid and
+    // checksummed, yet must be ignored and re-measured, and the fresh
+    // calibration must replace it on disk.
+    CostDirGuard dir_guard("panacea_cost_model_old_version");
+    detail::KernelCostTable old = syntheticTable(1043, 642);
+    old.version = detail::kKernelCostVersion - 1;
+    writeFile(dir_guard.path(), detail::serializeKernelCosts(old));
+
+    EXPECT_FALSE(detail::reloadKernelCosts());
+    const detail::KernelCostTable &fresh = detail::kernelCostTable();
+    EXPECT_GT(fresh.measurements, 0);
+    EXPECT_EQ(fresh.version, detail::kKernelCostVersion);
+
+    EXPECT_TRUE(detail::reloadKernelCosts());
+    EXPECT_EQ(detail::kernelCostTable().version, detail::kKernelCostVersion);
+}
+
 TEST(CostModel, PoisonedCalibrationStillBitCorrect)
 {
     // Wildly wrong costs may flip every stream/gather choice; they must

@@ -12,18 +12,23 @@
  * automatically wherever it is available. Reduction lengths that
  * straddle the kernels' 64-bit dense-step bitset words, under forced
  * stream, forced gather and measured dispatch, and the exactness-guard
- * boundaries (K, v) that route aqsGemm to the reference are pinned too.
+ * boundaries (K, v) that route aqsGemm to the reference are pinned too,
+ * and so are worst-case slice products at K = 2^22 - 1, the limit of
+ * the int32 lanes and the stream kernels' int16 pair sums.
  * The Sibia front end (legacyBitsliceGemm), which runs on the same band,
  * rides along those loops against the dense intGemm.
  */
 
 #include <array>
+#include <limits>
 #include <optional>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "core/aqs_gemm.h"
 #include "core/legacy_gemm.h"
+#include "core/operand_pack.h"
 #include "core/pair_pass.h"
 #include "quant/gemm_quant.h"
 #include "isa_guard.h"
@@ -313,8 +318,9 @@ TEST(KernelParity, DensityExtremesMatchReferenceAcrossIsaLevels)
 
 TEST(KernelParity, VnniKernelsMatchReferenceBitForBit)
 {
-    // Explicit VNNI axis: vpdpwssd wraps mod 2^32 exactly like the
-    // madd+add pair it fuses, so the VNNI tier must be bit-identical -
+    // Explicit VNNI axis: vpdpwssd (gathers) and vpdpbusd (quad
+    // streams) wrap mod 2^32 exactly like the madd+add chains they
+    // fuse, so the VNNI tier must be bit-identical -
     // accumulator AND stats - on both engines, across the stream
     // (pass4 + streamGeneric) and gather paths. Skip, not fail, when
     // the host or toolchain lacks AVX512-VNNI.
@@ -743,6 +749,71 @@ TEST(KernelParity, ExactnessGuardBoundaries)
     EXPECT_TRUE(detail::aqsBlockedKernelExact(64, 16));
     EXPECT_FALSE(detail::aqsBlockedKernelExact(64, 17));
     EXPECT_FALSE(detail::aqsBlockedKernelExact(k22, 17));
+}
+
+/**
+ * One-plane operands for a single v = 4 band (M = N = 4) whose every
+ * slice sits at the bound the stream kernels assume: weights -8,
+ * activations 63, and no compressed vector on either side.
+ */
+std::pair<WeightOperand, ActivationOperand>
+worstCaseOperands(std::size_t kk)
+{
+    WeightOperand w;
+    w.sliced.signedSlices = true;
+    w.sliced.planes.resize(1);
+    w.sliced.planes[0].data =
+        Matrix<Slice>(4, kk, static_cast<Slice>(-detail::kQuadWeightAbsMax));
+    w.sliced.planes[0].high = true;
+    w.hoMask = MatrixU8(1, kk, 0);
+    ActivationOperand x;
+    x.sliced.planes.resize(1);
+    x.sliced.planes[0].data =
+        Matrix<Slice>(kk, 4, static_cast<Slice>(detail::kQuadActMax));
+    x.sliced.planes[0].high = true;
+    x.hoMask = MatrixU8(kk, 1, 0);
+    return {std::move(w), std::move(x)};
+}
+
+TEST(KernelParity, WorstCaseSliceProductsAtTheExactnessBoundary)
+{
+    // K = 2^22 - 1 steps of (-8) x 63 = -504 each: every int32 pass
+    // accumulator ends at -2,113,928,712 (inside int32), and every
+    // vpmaddubsw int16 pair sum at -1008. Stream, gather and measured
+    // dispatch must all equal the reference on every runnable tier;
+    // K = 2^22 leaves the blocked kernel's domain and must fall back
+    // to the reference.
+    PoolGuard guard;
+    IsaGuard isa_guard;
+    PolicyGuard policy_guard;
+    constexpr std::size_t k22 = std::size_t{1} << 22;
+    AqsConfig cfg;
+    cfg.actSkip = ActSkipMode::None;
+    {
+        const auto [w, x] = worstCaseOperands(k22 - 1);
+        const MatrixI64 ref = aqsGemmReference(w, x, cfg);
+        const std::int64_t each = -std::int64_t{detail::kQuadWeightAbsMax} *
+                                  detail::kQuadActMax *
+                                  static_cast<std::int64_t>(k22 - 1);
+        for (std::int64_t e : ref.data())
+            ASSERT_EQ(e, each);
+        ASSERT_GE(each, std::numeric_limits<std::int32_t>::min());
+        for (IsaLevel isa : runnableIsaLevels()) {
+            setIsaLevel(isa);
+            for (StreamPolicy policy :
+                 {StreamPolicy::Stream, StreamPolicy::Gather,
+                  StreamPolicy::Measured}) {
+                setStreamPolicy(policy);
+                EXPECT_TRUE(aqsGemm(w, x, cfg) == ref)
+                    << "isa=" << toString(isa)
+                    << " policy=" << toString(policy);
+            }
+        }
+    }
+    resetStreamPolicy();
+    const auto [w, x] = worstCaseOperands(k22);
+    ASSERT_FALSE(detail::aqsBlockedKernelExact(k22, cfg.v));
+    EXPECT_TRUE(aqsGemm(w, x, cfg) == aqsGemmReference(w, x, cfg));
 }
 
 TEST(KernelParity, VectorLengthGuardBoundaryMatchesReference)

@@ -154,7 +154,7 @@ TEST_P(OperandReuse, ConcatIsByteIdenticalToDirectPreparation)
         EXPECT_EQ(cat.streams[s].decode(), direct.streams[s].decode());
     }
     EXPECT_EQ(cat.widenedPlanes, direct.widenedPlanes);
-    EXPECT_EQ(cat.pairedPlanes, direct.pairedPlanes);
+    EXPECT_EQ(cat.quadPlanes, direct.quadPlanes);
 
     // And the GEMM sees no difference.
     MatrixI32 w_codes = randomWeightCodes(rng, m, kk, 1);

@@ -174,7 +174,7 @@ TEST(PrepParallel, FullOperandPreparationMatchesSerialAcrossThreads)
         EXPECT_TRUE(x.hoMask == x_serial.hoMask);
         expectStreamsEqual(x.streams, x_serial.streams);
         EXPECT_EQ(x.widenedPlanes, x_serial.widenedPlanes);
-        EXPECT_EQ(x.pairedPlanes, x_serial.pairedPlanes);
+        EXPECT_EQ(x.quadPlanes, x_serial.quadPlanes);
     }
 }
 
