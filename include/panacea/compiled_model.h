@@ -83,8 +83,8 @@ class CompiledModel
     /**
      * @return bytes of the read-only file mapping this model's weight
      * payloads are served from (0 when the model owns its payloads,
-     * i.e. it was compiled in-process, loaded with mmap disabled, or
-     * loaded from a legacy v1 file). Non-zero means the weight bytes
+     * i.e. it was compiled in-process or loaded with mmap disabled).
+     * Non-zero means the weight bytes
      * are shared with every other process mapping the same .pncm
      * file - the zero-copy cold-start path (panacea/serialize.h).
      */

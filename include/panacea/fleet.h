@@ -26,7 +26,7 @@
  * Every submission yields exactly one terminal FleetResult (completed
  * xor rejected); completed outputs are byte-identical to a solo
  * Session run regardless of replica count, faults, or reload timing.
- * With .pncm v2 models loaded via mmap, all replicas share one
+ * With .pncm models loaded via mmap, all replicas share one
  * physical copy of the weights. Fleets must not outlive their
  * Runtime. See src/serve/fleet.h for the full router semantics.
  */

@@ -24,8 +24,8 @@
  *   // per-step loop at any ISA level / worker count / replica count.
  *
  * Determinism: the decode chain is a pure function of
- * (samplerSeed, prompt bytes). Scheduling policy (phaseAware on/off),
- * ISA level, worker count, admission timing and replica count change
+ * (samplerSeed, prompt bytes). Prefill chunk bound, ISA level,
+ * worker count, admission timing and replica count change
  * WHEN steps execute, never their bytes (tests/test_generation.cpp).
  */
 

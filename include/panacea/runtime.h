@@ -91,13 +91,12 @@ struct RuntimeOptions
     bool useGlobalCache = false;
     /**
      * Serve disk-tier hits by mapping the compiled-model file
-     * read-only and consuming its payloads in place (format v2), so a
+     * read-only and consuming its payloads in place, so a
      * cold start is bounded by page mapping - not by decoding - and
      * every process loading the same file shares one set of physical
      * weight pages. Off (or PANACEA_MMAP=0 in the environment, which
-     * wins over this flag) forces the copying decode; legacy v1 files
-     * always decode by copying. Either path yields bit-identical
-     * outputs.
+     * wins over this flag) forces the copying decode. Either path
+     * yields bit-identical outputs.
      */
     bool mmapModels = true;
     /**

@@ -7,13 +7,12 @@
  * same outputs, same AqsStats, at every ISA level - and loading does
  * zero calibration/slicing/RLE/HO work.
  *
- * The current format (v2) lays every bulk payload out in
- * 64-byte-aligned sections so loadCompiledModel() can map the file
- * read-only and serve the weights in place: cold-start cost becomes
- * page mapping plus header validation, and processes loading the same
- * file share one set of physical weight pages
- * (CompiledModel::mappedBytes() reports the mapping). Legacy v1 files
- * remain loadable through the copying decode. The full layout is
+ The format lays every bulk payload out in 64-byte-aligned sections
+ * so loadCompiledModel() can map the file read-only and serve the
+ * weights in place: cold-start cost becomes page mapping plus header
+ * validation, and processes loading the same file share one set of
+ * physical weight pages (CompiledModel::mappedBytes() reports the
+ * mapping). The full layout is
  * documented in src/serve/model_serialize.h;
  * tests/test_model_serialize.cpp pins round-trip byte identity and
  * every rejection path. Any structural defect - bad magic, unknown
@@ -22,8 +21,7 @@
  *
  * Runtime::compile() with RuntimeOptions::cacheDir automates this
  * (save on build, load on cold start); these entry points are for
- * explicit artifact handling (CI, deployment pipelines,
- * bench_serving --save/--load).
+ * explicit artifact handling (CI, deployment pipelines).
  */
 
 #ifndef PANACEA_PUBLIC_SERIALIZE_H
@@ -39,35 +37,27 @@ namespace panacea {
 /** Structural defect in a compiled-model file (see file header). */
 using SerializeError = serve::SerializeError;
 
-/** Current compiled-model file format version (sectioned, mappable). */
+/** Compiled-model file format version (sectioned, mappable). */
 inline constexpr std::uint32_t kCompiledModelFormatVersion =
     serve::kCompiledModelFormatVersion;
 
-/** The legacy copying format; still loadable, writable on request. */
-inline constexpr std::uint32_t kCompiledModelLegacyFormatVersion =
-    serve::kCompiledModelLegacyFormatVersion;
-
 /**
  * Write a compiled model to `path` (atomically: temp file + rename).
- * The bytes are a pure function of (prepared state, version), so
- * save -> load -> save reproduces the identical file. `version`
- * selects the file format - pass kCompiledModelLegacyFormatVersion to
- * produce a v1 file for consumers that predate the mappable format.
+ * The bytes are a pure function of the prepared state, so
+ * save -> load -> save reproduces the identical file.
  */
 inline void
-saveCompiledModel(const CompiledModel &model, const std::string &path,
-                  std::uint32_t version = kCompiledModelFormatVersion)
+saveCompiledModel(const CompiledModel &model, const std::string &path)
 {
-    serve::saveServedModel(*model.shared(), path, version);
+    serve::saveServedModel(*model.shared(), path);
 }
 
 /**
  * Read a compiled model from `path`; throws SerializeError. With
- * `allow_mmap` (the default) a v2 file is mapped read-only and its
+ * `allow_mmap` (the default) the file is mapped read-only and its
  * weights served in place (CompiledModel::mappedBytes() > 0); the
- * copying decode covers v1 files, mmap-less platforms and
- * PANACEA_MMAP=0 (which wins over the caller). Both paths produce
- * bit-identical models.
+ * copying decode covers mmap-less platforms and PANACEA_MMAP=0 (which
+ * wins over the caller). Both paths produce bit-identical models.
  */
 inline CompiledModel
 loadCompiledModel(const std::string &path, bool allow_mmap = true)

@@ -106,9 +106,7 @@ class Session
      * Start one autoregressive generation (see panacea/generation.h):
      * the prompt prefills in bounded chunks, then maxSteps decode
      * steps chain through the seeded sampler, each re-entering the
-     * engine's admission ahead of queued prefill work (phase-aware
-     * scheduling; GenerationRequest::phaseAware = false reproduces a
-     * naive FIFO loop, with byte-identical outputs). The future
+     * engine's admission ahead of queued prefill work. The future
      * yields exactly one GenerationResult or one exception.
      */
     std::future<GenerationResult>

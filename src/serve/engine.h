@@ -162,9 +162,9 @@ struct EngineOptions
      * L <= maxAdmissionLayer. Catch-up replays L layers at the
      * admission sub-batch's (small, inefficient) width ON the
      * cohort's critical path, so deep admissions trade everyone's
-     * execute time for the newcomer's queue wait - boundary 1 is the
-     * measured sweet spot on the 1-core CI runner (bench_serving
-     * --arrivals). 0 picks 1; raise it to admit at every boundary.
+     * execute time for the newcomer's queue wait - boundary 1 was the
+     * measured sweet spot under open-loop Poisson arrivals on a
+     * 1-core runner. 0 picks 1; raise it to admit at every boundary.
      */
     int maxAdmissionLayer = 0;
     /**

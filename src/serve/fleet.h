@@ -2,7 +2,7 @@
  * @file
  * The fleet tier: a ReplicaRouter fronting N InferenceEngine replicas
  * (thread-scoped, each with its own worker threads) that share one
- * immutable ServedModel per deployed model - with .pncm v2 models
+ * immutable ServedModel per deployed model - with .pncm models
  * mmapped read-only, replicas share a single physical copy of the
  * weights, so a replica costs threads, not memory.
  *
@@ -38,8 +38,8 @@
  * work - requests vary in width). A full placement set sheds at
  * admission with FleetOutcome::Rejected instead of queueing
  * unboundedly: under overload, p99 of what IS served stays bounded
- * and the shed rate is the overload signal (bench_fleet at 2x
- * capacity).
+ * and the shed rate is the overload signal (pinned at 2x capacity by
+ * FleetRouter.PinnedDispatchForAFixedSubmissionSequence).
  *
  * Fault handling: an engine throw (or a stall detected by
  * stallTimeoutMs) quarantines the replica - it takes no new work and

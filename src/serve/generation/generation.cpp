@@ -172,15 +172,11 @@ GenerationScheduler::generate(std::shared_ptr<const ServedModel> model,
     a->outRows = a->model->outputFeatures();
     a->promptCols = a->req.prompt.cols();
     a->promptGroups = a->promptCols / uv;
-    // Naive FIFO sends the whole prompt as one cohort; phase-aware
-    // bounds every prefill cohort to chunkGroups column groups.
-    a->chunkGroups = a->promptGroups;
-    if (a->req.phaseAware) {
-        const std::size_t bound = a->req.prefillChunkGroups > 0
-                                      ? a->req.prefillChunkGroups
-                                      : kDefaultPrefillChunkGroups;
-        a->chunkGroups = std::min(a->promptGroups, bound);
-    }
+    // Every prefill cohort is bounded to chunkGroups column groups.
+    a->chunkGroups = std::min(a->promptGroups,
+                              a->req.prefillChunkGroups > 0
+                                  ? a->req.prefillChunkGroups
+                                  : kDefaultPrefillChunkGroups);
     a->chunksTotal =
         (a->promptGroups + a->chunkGroups - 1) / a->chunkGroups;
 
@@ -271,8 +267,7 @@ GenerationScheduler::handleEvent(Active &a)
         }
         const std::size_t g1 = std::min(a.promptGroups, a.chunkGroups);
         submitStep(a, sliceColumns(a.req.prompt, 0, g1 * a.v),
-                   a.req.phaseAware ? RequestPhase::Prefill
-                                    : RequestPhase::Bulk);
+                   RequestPhase::Prefill);
         return;
     }
     RequestResult rr;
@@ -363,8 +358,7 @@ GenerationScheduler::handlePrefillChunk(Active &a, RequestResult &&rr)
         const std::size_t g1 =
             std::min(a.promptGroups, g0 + a.chunkGroups);
         submitStep(a, sliceColumns(a.req.prompt, g0 * a.v, g1 * a.v),
-                   a.req.phaseAware ? RequestPhase::Prefill
-                                    : RequestPhase::Bulk);
+                   RequestPhase::Prefill);
         return;
     }
     // Prefill complete: the first decode step samples from the LAST v
@@ -372,9 +366,7 @@ GenerationScheduler::handlePrefillChunk(Active &a, RequestResult &&rr)
     a.prefillMs = a.sinceStartMs();
     MatrixF x = a.sampler.next(a.prefillOut, a.outRows, a.promptCols,
                                a.features, a.v);
-    submitStep(a, std::move(x),
-               a.req.phaseAware ? RequestPhase::Decode
-                                : RequestPhase::Bulk);
+    submitStep(a, std::move(x), RequestPhase::Decode);
 }
 
 void
@@ -421,9 +413,7 @@ GenerationScheduler::handleDecodeStep(Active &a, RequestResult &&rr)
     if (a.stepsDone < a.req.maxSteps) {
         MatrixF x =
             a.sampler.next(page, a.outRows, a.v, a.features, a.v);
-        submitStep(a, std::move(x),
-                   a.req.phaseAware ? RequestPhase::Decode
-                                    : RequestPhase::Bulk);
+        submitStep(a, std::move(x), RequestPhase::Decode);
         return;
     }
     finish(a);
@@ -551,13 +541,10 @@ generateOverRouter(ReplicaRouter &router, const std::string &model_name,
     const std::size_t out_rows = model->outputFeatures();
     const std::size_t prompt_cols = req.prompt.cols();
     const std::size_t prompt_groups = prompt_cols / v;
-    std::size_t chunk_groups = prompt_groups;
-    if (req.phaseAware) {
-        const std::size_t bound = req.prefillChunkGroups > 0
-                                      ? req.prefillChunkGroups
-                                      : kDefaultPrefillChunkGroups;
-        chunk_groups = std::min(prompt_groups, bound);
-    }
+    const std::size_t chunk_groups =
+        std::min(prompt_groups, req.prefillChunkGroups > 0
+                                    ? req.prefillChunkGroups
+                                    : kDefaultPrefillChunkGroups);
 
     const auto t0 = std::chrono::steady_clock::now();
     const auto since_ms = [&t0] {
@@ -601,8 +588,7 @@ generateOverRouter(ReplicaRouter &router, const std::string &model_name,
             std::min(prompt_groups, g0 + chunk_groups);
         FleetResult fr =
             run_step(sliceColumns(req.prompt, g0 * v, g1 * v),
-                     req.phaseAware ? RequestPhase::Prefill
-                                    : RequestPhase::Bulk);
+                     RequestPhase::Prefill);
         for (std::size_t row = 0; row < out_rows; ++row) {
             const auto src = fr.result.output.row(row);
             std::copy(src.begin(), src.end(),
@@ -622,9 +608,7 @@ generateOverRouter(ReplicaRouter &router, const std::string &model_name,
         MatrixF x = step == 0
                         ? sampler.next(res.prefillOutput, features, v)
                         : sampler.next(prev, features, v);
-        FleetResult fr = run_step(
-            std::move(x), req.phaseAware ? RequestPhase::Decode
-                                         : RequestPhase::Bulk);
+        FleetResult fr = run_step(std::move(x), RequestPhase::Decode);
         token_at.push_back(static_cast<float>(since_ms()));
         for (std::size_t row = 0; row < out_rows; ++row) {
             const auto src = fr.result.output.row(row);

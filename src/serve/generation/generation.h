@@ -28,16 +28,11 @@
  *                  ▼
  *           per-step callback (streaming) ─▶ GenerationResult future
  *
- * Phase-aware vs naive FIFO: with GenerationRequest::phaseAware off,
- * the whole prompt goes down as ONE Bulk request and decode steps are
- * Bulk too - exactly the old manual loop's admission behaviour. The
- * policy is per-request, so one scheduler can serve both (that is how
- * bench_generation compares them). Policy changes WHEN steps execute,
- * never WHAT they compute: outputs are byte-identical across policies,
- * ISA levels, worker counts and admission layers, because prefill
- * chunking rides the engine's column-blocked bit-exactness and the
- * sampler chain depends only on output bytes (tests/
- * test_generation.cpp).
+ * Scheduling changes WHEN steps execute, never WHAT they compute:
+ * outputs are byte-identical across prefill chunk bounds, ISA levels,
+ * worker counts and admission layers, because prefill chunking rides
+ * the engine's column-blocked bit-exactness and the sampler chain
+ * depends only on output bytes (tests/test_generation.cpp).
  *
  * Paged decode state: each live generation owns an Arena
  * (util/arena.h); the prefill output and every step's output land in
@@ -160,16 +155,8 @@ struct GenerationRequest
     /** TokenSampler seed: the decode chain is a pure function of
      *  (samplerSeed, prompt bytes). */
     std::uint64_t samplerSeed = 0xdec0de;
-    /**
-     * Phase-aware scheduling (the default): prefill goes down in
-     * bounded sequential chunks tagged Prefill, decode steps ride the
-     * engine's urgent queue tagged Decode. False = the manual loop's
-     * admission behaviour (whole prompt + Bulk steps, FIFO); outputs
-     * are byte-identical either way.
-     */
-    bool phaseAware = true;
-    /** Prefill chunk bound in column groups (phase-aware only);
-     *  0 picks kDefaultPrefillChunkGroups. */
+    /** Prefill chunk bound in column groups; 0 picks
+     *  kDefaultPrefillChunkGroups. */
     std::size_t prefillChunkGroups = 0;
     /** Streaming per-step hook (may be null); see GenerationStepView.
      *  Runs on the scheduler's pump thread, no lock held. */

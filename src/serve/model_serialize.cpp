@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
@@ -9,16 +10,14 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <mutex>
-#include <sstream>
 #include <type_traits>
 #include <unistd.h>
 #include <utility>
 #include <vector>
 
+#include "slicing/sbr.h"
 #include "util/arena.h"
 #include "util/fnv.h"
-#include "util/logging.h"
 #include "util/mapped_file.h"
 
 namespace panacea {
@@ -28,7 +27,7 @@ namespace {
 
 constexpr char kMagic[4] = {'P', 'N', 'C', 'M'};
 
-// The v2 format stores RleEntry sections as raw entry structs so the
+// The format stores RleEntry sections as raw entry structs so the
 // loader can view them in place. That is only sound while the on-disk
 // layout {u16 skip, 2 zero bytes, u32 vectorIndex} IS the in-memory
 // layout; these asserts pin it (x86-64, the engine's only target).
@@ -52,12 +51,6 @@ class Writer
     u8(std::uint8_t v)
     {
         buf_.push_back(static_cast<char>(v));
-    }
-    void
-    u16(std::uint16_t v)
-    {
-        for (int i = 0; i < 2; ++i)
-            buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
     }
     void
     u32(std::uint32_t v)
@@ -96,11 +89,6 @@ class Writer
     {
         u64(s.size());
         buf_.append(s);
-    }
-    void
-    bytes(const void *data, std::size_t size)
-    {
-        buf_.append(static_cast<const char *>(data), size);
     }
 
     const std::string &buffer() const { return buf_; }
@@ -144,16 +132,6 @@ class Reader
     {
         need(1);
         return static_cast<std::uint8_t>(data_[pos_++]);
-    }
-    std::uint16_t
-    u16()
-    {
-        need(2);
-        std::uint16_t v = 0;
-        for (int i = 0; i < 2; ++i)
-            v |= static_cast<std::uint16_t>(
-                static_cast<unsigned char>(data_[pos_++]) << (8 * i));
-        return v;
     }
     std::uint32_t
     u32()
@@ -210,14 +188,6 @@ class Reader
         pos_ += n;
         return s;
     }
-    void
-    bytes(void *dst, std::size_t size)
-    {
-        need(size);
-        std::copy(data_ + pos_, data_ + pos_ + size,
-                  static_cast<char *>(dst));
-        pos_ += size;
-    }
 
     /** u32 validated against an inclusive enum range. */
     template <typename E>
@@ -239,7 +209,7 @@ class Reader
     std::size_t pos_ = 0;
 };
 
-// --- Raw little-endian loads/stores (v2 header + directory) ------------
+// --- Raw little-endian loads/stores (header + directory) -------------
 
 std::uint32_t
 loadU32(const std::byte *p)
@@ -283,28 +253,6 @@ storeU64(char *p, std::uint64_t v)
 }
 
 // --- Component writers/readers ----------------------------------------
-
-template <typename T>
-void
-writeMatrix(Writer &w, const Matrix<T> &m)
-{
-    w.u64(m.rows());
-    w.u64(m.cols());
-    w.bytes(m.data().data(), m.size() * sizeof(T));
-}
-
-template <typename T>
-Matrix<T>
-readMatrix(Reader &r)
-{
-    const std::uint64_t rows = r.u64();
-    const std::uint64_t cols = r.u64();
-    const std::size_t elems = Reader::checkedMul(rows, cols);
-    r.need(Reader::checkedMul(elems, sizeof(T)));
-    Matrix<T> m(rows, cols);
-    r.bytes(m.data().data(), elems * sizeof(T));
-    return m;
-}
 
 void
 writeLayerSpec(Writer &w, const LayerSpec &l)
@@ -505,10 +453,9 @@ readDbsDecision(Reader &r)
 }
 
 /**
- * Internal-consistency checks shared by both format readers: every
- * structure the kernels index must agree on the layer shape, or a
- * crafted (checksum-valid) file could drive out-of-bounds reads after
- * loading.
+ * Internal-consistency checks: every structure the kernels index must
+ * agree on the layer shape, or a crafted (checksum-valid) file could
+ * drive out-of-bounds reads after loading.
  */
 void
 validateLayerShapes(const WeightOperand &op, const AqsPipelineOptions &opts,
@@ -538,197 +485,11 @@ validateLayerShapes(const WeightOperand &op, const AqsPipelineOptions &opts,
                              " != m-band count " +
                              std::to_string(m_groups));
     for (const RleStream &s : op.streams)
-        if (s.totalCount() != kk || s.vlen() != opts.gemm.v)
+        if (s.totalCount() != kk || s.vlen() != opts.gemm.v ||
+            s.indexBits() != opts.gemm.rleIndexBits)
             throw SerializeError(
                 "compiled model weight stream disagrees with layer "
                 "shape");
-}
-
-// --- v1 (legacy) bulk payload encode/decode ----------------------------
-
-void
-writeSlicedMatrix(Writer &w, const SlicedMatrix &s)
-{
-    w.boolean(s.signedSlices);
-    w.i32(s.sourceBits);
-    w.i32(s.loBits);
-    w.u64(s.planes.size());
-    for (const SlicePlane &p : s.planes) {
-        w.i32(p.shift);
-        w.boolean(p.high);
-        writeMatrix(w, p.data);
-    }
-}
-
-SlicedMatrix
-readSlicedMatrix(Reader &r)
-{
-    SlicedMatrix s;
-    s.signedSlices = r.boolean();
-    s.sourceBits = r.i32();
-    s.loBits = r.i32();
-    const std::uint64_t planes = r.u64();
-    if (planes == 0)
-        throw SerializeError("compiled model slice matrix has no planes");
-    r.need(Reader::checkedMul(planes, 21)); // fixed bytes per plane
-    s.planes.reserve(planes);
-    for (std::uint64_t i = 0; i < planes; ++i) {
-        SlicePlane p;
-        p.shift = r.i32();
-        p.high = r.boolean();
-        p.data = readMatrix<Slice>(r);
-        if (!s.planes.empty() &&
-            (p.data.rows() != s.planes.front().data.rows() ||
-             p.data.cols() != s.planes.front().data.cols()))
-            throw SerializeError(
-                "compiled model slice planes disagree on shape");
-        s.planes.push_back(std::move(p));
-    }
-    return s;
-}
-
-void
-writeRleStream(Writer &w, const RleStream &s)
-{
-    w.u64(s.totalCount());
-    w.u8(static_cast<std::uint8_t>(s.fill()));
-    w.i32(s.vlen());
-    w.i32(s.indexBits());
-    w.u64(s.storedCount());
-    for (const RleEntry &e : s.entries()) {
-        w.u16(e.skip);
-        w.u32(e.vectorIndex);
-    }
-    for (std::size_t i = 0; i < s.storedCount(); ++i) {
-        std::span<const Slice> payload = s.payload(i);
-        w.bytes(payload.data(), payload.size() * sizeof(Slice));
-    }
-}
-
-RleStream
-readRleStream(Reader &r)
-{
-    const std::uint64_t total = r.u64();
-    const Slice fill = static_cast<Slice>(r.u8());
-    const std::int32_t vlen = r.i32();
-    const std::int32_t index_bits = r.i32();
-    if (vlen <= 0 || vlen > 4096)
-        throw SerializeError("compiled model RLE vlen " +
-                             std::to_string(vlen) + " out of range");
-    if (index_bits <= 0 || index_bits > 16)
-        throw SerializeError("compiled model RLE index bits " +
-                             std::to_string(index_bits) + " out of range");
-    const std::uint64_t stored = r.u64();
-    r.need(Reader::checkedMul(stored, 6)); // entry metadata floor
-    std::vector<RleEntry> entries;
-    entries.reserve(stored);
-    for (std::uint64_t i = 0; i < stored; ++i) {
-        RleEntry e;
-        e.skip = r.u16();
-        e.vectorIndex = r.u32();
-        if (e.vectorIndex >= total)
-            throw SerializeError("compiled model RLE entry index " +
-                                 std::to_string(e.vectorIndex) +
-                                 " past sequence end " +
-                                 std::to_string(total));
-        entries.push_back(e);
-    }
-    const std::size_t payload_size = Reader::checkedMul(
-        stored, static_cast<std::size_t>(vlen));
-    r.need(payload_size);
-    std::vector<Slice> payloads(payload_size);
-    r.bytes(payloads.data(), payload_size * sizeof(Slice));
-    return RleStream::restore(std::move(entries), std::move(payloads),
-                              total, fill, vlen, index_bits);
-}
-
-void
-writeWeightOperand(Writer &w, const WeightOperand &op)
-{
-    writeSlicedMatrix(w, op.sliced);
-    writeMatrix(w, op.totalCodes);
-    writeMatrix(w, op.hoMask);
-    w.u64(op.streams.size());
-    for (const RleStream &s : op.streams)
-        writeRleStream(w, s);
-}
-
-WeightOperand
-readWeightOperand(Reader &r)
-{
-    WeightOperand op;
-    op.sliced = readSlicedMatrix(r);
-    op.totalCodes = readMatrix<std::int32_t>(r);
-    op.hoMask = readMatrix<std::uint8_t>(r);
-    const std::uint64_t streams = r.u64();
-    r.need(Reader::checkedMul(streams, 24)); // stream header floor
-    op.streams.reserve(streams);
-    for (std::uint64_t i = 0; i < streams; ++i)
-        op.streams.push_back(readRleStream(r));
-    return op;
-}
-
-AqsLinearLayer
-readLayerV1(Reader &r, int expect_v)
-{
-    const AqsPipelineOptions opts = readPipelineOptions(r);
-    // build() stamps every layer with the model-level vector length;
-    // a layer disagreeing with it would make the per-layer counting
-    // caches (built with the MODEL v) index past the layer's hoMask.
-    if (opts.gemm.v != expect_v)
-        throw SerializeError("compiled model layer v " +
-                             std::to_string(opts.gemm.v) +
-                             " != model v " +
-                             std::to_string(expect_v));
-    const QuantParams w_params = readQuantParams(r);
-    const QuantParams x_params = readQuantParams(r);
-    const DbsDecision dbs = readDbsDecision(r);
-    WeightOperand op = readWeightOperand(r);
-    const std::uint64_t bias_len = r.u64();
-    r.need(Reader::checkedMul(bias_len, 8));
-    std::vector<std::int64_t> bias(bias_len);
-    for (std::uint64_t i = 0; i < bias_len; ++i)
-        bias[i] = r.i64();
-    validateLayerShapes(op, opts, bias_len);
-    return AqsLinearLayer::restore(opts, w_params, x_params, dbs,
-                                   std::move(op), std::move(bias));
-}
-
-/** The v1 payload: one scalar stream, everything copied. */
-void
-writeServedModelV1(std::ostream &out, const ServedModel &model)
-{
-    Writer payload;
-    payload.str(model.key());
-    writeModelSpec(payload, model.spec());
-    writeServeOptions(payload, model.options());
-    payload.f64(model.buildMs());
-    payload.u64(model.layerCount());
-    for (std::size_t i = 0; i < model.layerCount(); ++i) {
-        const AqsLinearLayer &layer = model.layer(i);
-        writePipelineOptions(payload, layer.options());
-        writeQuantParams(payload, layer.weightParams());
-        writeQuantParams(payload, layer.activationParams());
-        writeDbsDecision(payload, layer.dbsDecision());
-        writeWeightOperand(payload, layer.weights());
-        payload.u64(layer.foldedBias().size());
-        for (std::int64_t b : layer.foldedBias())
-            payload.i64(b);
-    }
-
-    const std::string &body = payload.buffer();
-    Writer header;
-    header.bytes(kMagic, sizeof(kMagic));
-    header.u32(kCompiledModelLegacyFormatVersion);
-    out.write(header.buffer().data(),
-              static_cast<std::streamsize>(header.buffer().size()));
-    out.write(body.data(), static_cast<std::streamsize>(body.size()));
-    Writer trailer;
-    trailer.u64(fnv1a64(body.data(), body.size()));
-    out.write(trailer.buffer().data(),
-              static_cast<std::streamsize>(trailer.buffer().size()));
-    if (!out)
-        throw SerializeError("compiled model write failed");
 }
 
 /** Shared model-level decode head: key/spec/options + fingerprint. */
@@ -772,42 +533,75 @@ readModelHead(Reader &r)
     return head;
 }
 
-/** Decode a whole v1 file image (envelope + payload + trailer). */
-std::shared_ptr<const ServedModel>
-decodeV1(const std::byte *data, std::size_t size)
+/** Whether a quantizer's parameters are ones calibration can emit. */
+bool
+plausibleQuantParams(const QuantParams &p, int bits)
 {
-    constexpr std::size_t kEnvelope = sizeof(kMagic) + 4 + 8;
-    if (size < kEnvelope)
-        throw SerializeError("compiled model too small (" +
-                             std::to_string(size) + " bytes)");
-    const char *body =
-        reinterpret_cast<const char *>(data) + sizeof(kMagic) + 4;
-    const std::size_t body_size = size - kEnvelope;
-    Reader check(reinterpret_cast<const char *>(data) + size - 8, 8);
-    const std::uint64_t stored_sum = check.u64();
-    if (stored_sum != fnv1a64(body, body_size))
-        throw SerializeError("compiled model checksum mismatch");
-
-    Reader r(body, body_size);
-    const ModelHead head = readModelHead(r);
-    std::vector<AqsLinearLayer> layers;
-    layers.reserve(head.layerCount);
-    for (std::uint64_t i = 0; i < head.layerCount; ++i)
-        layers.push_back(readLayerV1(r, head.opts.v));
-    if (!r.exhausted())
-        throw SerializeError("compiled model has " +
-                             std::to_string(r.remaining()) +
-                             " trailing payload bytes");
-
-    return std::make_shared<const ServedModel>(ServedModel::restore(
-        head.spec, head.opts, std::move(layers), head.buildMs));
+    return p.bits == bits && std::isfinite(p.scale) && p.scale > 0.0 &&
+           p.zeroPoint >= p.codeMin() && p.zeroPoint <= p.codeMax();
 }
 
-// --- v2 (sectioned, zero-copy) encode/decode ---------------------------
+/**
+ * Semantic checks on a layer's bit widths. The checksum is not a MAC,
+ * and the kernels use these values as shift counts (slice shifts, DBS
+ * coarse-grid drops, code ranges), so a crafted width would be UB at
+ * GEMM time rather than a SerializeError here. Each value must be
+ * exactly what ServedModel::build() stamps for this layer of this
+ * (spec, options): (3n+4)-bit weights and (4k+4)-bit activations of
+ * at most 16 bits (the quantizer's limit), and the DBS LO width l of
+ * the layer's recorded type.
+ */
+void
+validateLayerBits(const ModelHead &head, std::size_t layer,
+                  const AqsPipelineOptions &opts, const QuantParams &w,
+                  const QuantParams &x, const DbsDecision &dbs)
+{
+    const LayerSpec &ls = head.spec.layers[layer];
+    const int want_w = head.opts.weightBitsOverride != 0
+                           ? head.opts.weightBitsOverride
+                           : ls.weightBits;
+    if (opts.weightBits != want_w || opts.weightBits < 4 ||
+        opts.weightBits > 16 || (opts.weightBits - 4) % 3 != 0)
+        throw SerializeError("compiled model layer " +
+                             std::to_string(layer) + " weight width " +
+                             std::to_string(opts.weightBits) +
+                             " is not the built (3n+4)-bit width");
+    if (opts.actBits != ls.actBits || opts.actBits < 4 ||
+        opts.actBits > 16 || opts.actBits % 4 != 0)
+        throw SerializeError("compiled model layer " +
+                             std::to_string(layer) +
+                             " activation width " +
+                             std::to_string(opts.actBits) +
+                             " is not the built (4k+4)-bit width");
+    if (opts.gemm.rleIndexBits != head.opts.rleIndexBits)
+        throw SerializeError("compiled model layer RLE index width "
+                             "disagrees with the model's");
+    if (w.scheme != QuantScheme::Symmetric ||
+        !plausibleQuantParams(w, opts.weightBits) ||
+        x.scheme != QuantScheme::Asymmetric ||
+        !plausibleQuantParams(x, opts.actBits))
+        throw SerializeError("compiled model layer " +
+                             std::to_string(layer) +
+                             " quantizer parameters out of range");
+    // DBS classifies only 8-bit activations; every other layer is
+    // type 1 with l = 4k.
+    const bool dbs_layer = opts.enableDbs && opts.actBits == 8;
+    const int want_lo = dbs_layer ? loBitsFor(dbs.type)
+                                  : 4 * (opts.actBits / 4 - 1);
+    if ((!dbs_layer && dbs.type != DbsType::Type1) ||
+        dbs.loBits != want_lo || dbs.zpm.frequentSlice < 0 ||
+        dbs.zpm.frequentSlice > 15)
+        throw SerializeError("compiled model layer " +
+                             std::to_string(layer) + " DBS LO width " +
+                             std::to_string(dbs.loBits) +
+                             " or frequent slice out of range");
+}
 
-constexpr std::size_t kV2HeaderBytes = 32; ///< magic..sectionCount
+// --- Sectioned, zero-copy encode/decode -------------------------------
+
+constexpr std::size_t kHeaderBytes = 32; ///< magic..sectionCount
 constexpr std::size_t kSectionsPerLayer = 6;
-constexpr std::uint64_t kV2ChecksumFrom = 24; ///< sectionCount onward
+constexpr std::uint64_t kChecksumFrom = 24; ///< sectionCount onward
 
 std::uint64_t
 alignUp64(std::uint64_t x)
@@ -834,8 +628,10 @@ struct LayerBulkSizes
     std::uint64_t stored = 0; ///< total entries across streams
 };
 
+} // namespace
+
 void
-writeServedModelV2(std::ostream &out, const ServedModel &model)
+writeServedModel(std::ostream &out, const ServedModel &model)
 {
     const std::size_t layer_count = model.layerCount();
     const std::uint64_t section_count =
@@ -913,7 +709,7 @@ writeServedModelV2(std::ostream &out, const ServedModel &model)
     // section 64-byte aligned, gaps zero (the whole buffer starts
     // zeroed and only payload bytes are written).
     std::vector<SectionRange> sections(section_count);
-    std::uint64_t cursor = kV2HeaderBytes + section_count * 16;
+    std::uint64_t cursor = kHeaderBytes + section_count * 16;
     const auto place = [&](std::uint64_t idx, std::uint64_t size) {
         cursor = alignUp64(cursor);
         sections[idx] = {cursor, size};
@@ -938,9 +734,9 @@ writeServedModelV2(std::ostream &out, const ServedModel &model)
     // checksum at offset 16 is patched last
     storeU64(buf.data() + 24, section_count);
     for (std::uint64_t s = 0; s < section_count; ++s) {
-        storeU64(buf.data() + kV2HeaderBytes + 16 * s,
+        storeU64(buf.data() + kHeaderBytes + 16 * s,
                  sections[s].offset);
-        storeU64(buf.data() + kV2HeaderBytes + 16 * s + 8,
+        storeU64(buf.data() + kHeaderBytes + 16 * s + 8,
                  sections[s].size);
     }
     std::memcpy(buf.data() + sections[0].offset, meta.buffer().data(),
@@ -983,26 +779,29 @@ writeServedModelV2(std::ostream &out, const ServedModel &model)
     }
 
     storeU64(buf.data() + 16,
-             fnv1a64Striped(buf.data() + kV2ChecksumFrom,
-                            file_size - kV2ChecksumFrom));
+             fnv1a64Striped(buf.data() + kChecksumFrom,
+                            file_size - kChecksumFrom));
 
     out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
     if (!out)
         throw SerializeError("compiled model write failed");
 }
 
+namespace {
+
 /**
- * Decode a whole v2 file image IN PLACE: every validation (declared
- * size, striped checksum, directory bounds/alignment, shapes, RLE
- * chains and padding) runs before a single view is created, and the
+ * Decode a whole file image IN PLACE: every validation (declared
+ * size, striped checksum, directory bounds/alignment, shapes, bit
+ * widths and plane shifts, RLE chains and padding, folded-bias range)
+ * runs before a single view is created, and the
  * views the model keeps point into `data` - which `owner` (a
  * MappedFile or an arena-held copy) must keep alive.
  */
 std::shared_ptr<const ServedModel>
-decodeV2(const std::byte *data, std::size_t size,
-         std::shared_ptr<const void> owner, std::size_t mapped_bytes)
+decodeSections(const std::byte *data, std::size_t size,
+               std::shared_ptr<const void> owner, std::size_t mapped_bytes)
 {
-    if (size < kV2HeaderBytes)
+    if (size < kHeaderBytes)
         throw SerializeError("compiled model too small (" +
                              std::to_string(size) + " bytes)");
     const std::uint64_t declared = loadU64(data + 8);
@@ -1013,21 +812,21 @@ decodeV2(const std::byte *data, std::size_t size,
             " (truncated or trailing bytes)");
     const std::uint64_t section_count = loadU64(data + 24);
     if (section_count == 0 ||
-        section_count > (size - kV2HeaderBytes) / 16)
+        section_count > (size - kHeaderBytes) / 16)
         throw SerializeError("compiled model section count " +
                              std::to_string(section_count) +
                              " exceeds file");
     if (loadU64(data + 16) !=
-        fnv1a64Striped(data + kV2ChecksumFrom, size - kV2ChecksumFrom))
+        fnv1a64Striped(data + kChecksumFrom, size - kChecksumFrom))
         throw SerializeError("compiled model checksum mismatch");
 
     // Directory: 64-byte aligned, in-bounds, ascending, non-overlapping.
     std::vector<SectionRange> sections(section_count);
-    std::uint64_t prev_end = kV2HeaderBytes + section_count * 16;
+    std::uint64_t prev_end = kHeaderBytes + section_count * 16;
     for (std::uint64_t s = 0; s < section_count; ++s) {
         SectionRange &sec = sections[s];
-        sec.offset = loadU64(data + kV2HeaderBytes + 16 * s);
-        sec.size = loadU64(data + kV2HeaderBytes + 16 * s + 8);
+        sec.offset = loadU64(data + kHeaderBytes + 16 * s);
+        sec.size = loadU64(data + kHeaderBytes + 16 * s + 8);
         if (sec.offset % kArenaAlignment != 0)
             throw SerializeError("compiled model section " +
                                  std::to_string(s) +
@@ -1073,7 +872,11 @@ decodeV2(const std::byte *data, std::size_t size,
         const QuantParams w_params = readQuantParams(r);
         const QuantParams x_params = readQuantParams(r);
         const DbsDecision dbs = readDbsDecision(r);
+        validateLayerBits(head, li, opts, w_params, x_params, dbs);
 
+        // The weight planes must be exactly the n+1 SBR planes
+        // (shift 3i, HO last) that prepareWeights() slices.
+        const int sbr_n = (opts.weightBits - 4) / 3;
         WeightOperand op;
         op.sliced.signedSlices = r.boolean();
         op.sliced.sourceBits = r.i32();
@@ -1081,9 +884,13 @@ decodeV2(const std::byte *data, std::size_t size,
         const std::uint64_t plane_count = r.u64();
         const std::uint64_t rows = r.u64();
         const std::uint64_t cols = r.u64();
-        if (plane_count == 0)
+        if (!op.sliced.signedSlices ||
+            op.sliced.sourceBits != opts.weightBits ||
+            op.sliced.loBits != 4 ||
+            plane_count != static_cast<std::uint64_t>(sbr_n) + 1)
             throw SerializeError(
-                "compiled model slice matrix has no planes");
+                "compiled model weight slicing is not the " +
+                std::to_string(opts.weightBits) + "-bit SBR layout");
         const std::size_t plane_elems = Reader::checkedMul(rows, cols);
         struct PlaneHead
         {
@@ -1091,10 +898,17 @@ decodeV2(const std::byte *data, std::size_t size,
             bool high;
         };
         std::vector<PlaneHead> plane_heads;
-        r.need(Reader::checkedMul(plane_count, 5));
         plane_heads.reserve(plane_count);
-        for (std::uint64_t p = 0; p < plane_count; ++p)
-            plane_heads.push_back({r.i32(), r.boolean()});
+        for (std::uint64_t p = 0; p < plane_count; ++p) {
+            const PlaneHead h{r.i32(), r.boolean()};
+            if (h.shift != sbrShift(static_cast<int>(p)) ||
+                h.high != (p == plane_count - 1))
+                throw SerializeError(
+                    "compiled model weight plane " + std::to_string(p) +
+                    " has shift " + std::to_string(h.shift) +
+                    (h.high ? " (HO)" : "") + ", not SBR's");
+            plane_heads.push_back(h);
+        }
         const SectionRange &planes_sec =
             sectionAt(r.u64(), "slice planes");
         if (planes_sec.size !=
@@ -1239,12 +1053,23 @@ decodeV2(const std::byte *data, std::size_t size,
             p_at += p_len;
         }
         validateLayerShapes(op, opts, bias_len);
+        // Served layers fold no float bias, so each entry is -zp times
+        // a row sum of K weight codes. Anything larger is not a built
+        // value, and could overflow the int64 accumulator it is added
+        // to.
+        const auto *bias = reinterpret_cast<const std::int64_t *>(
+            data + bias_sec.offset);
+        const double bias_bound = static_cast<double>(x_params.codeMax()) *
+                                  std::ldexp(1.0, opts.weightBits - 1) *
+                                  static_cast<double>(cols);
+        for (std::uint64_t i = 0; i < bias_len; ++i)
+            if (std::fabs(static_cast<double>(bias[i])) > bias_bound)
+                throw SerializeError("compiled model folded bias " +
+                                     std::to_string(bias[i]) +
+                                     " out of range");
         layers.push_back(AqsLinearLayer::restore(
             opts, w_params, x_params, dbs, std::move(op),
-            ArenaVec<std::int64_t>::view(
-                {reinterpret_cast<const std::int64_t *>(data +
-                                                        bias_sec.offset),
-                 bias_len})));
+            ArenaVec<std::int64_t>::view({bias, bias_len})));
     }
     if (!r.exhausted())
         throw SerializeError("compiled model has " +
@@ -1283,20 +1108,9 @@ mmapEnabledByEnv()
     return e == nullptr || std::string(e) != "0";
 }
 
-void
-logLegacyLoadOnce()
-{
-    static std::once_flag once;
-    std::call_once(once, [] {
-        inform("loading legacy v1 compiled model via the copying "
-               "decode path; re-save to v2 for zero-copy mmap loads");
-    });
-}
-
 /**
- * Dispatch a whole in-memory/mapped file image on its envelope.
- * `owner`/`mapped_bytes` describe `data`'s backing and only reach the
- * v2 decoder (v1 copies everything out of the image).
+ * Check a whole in-memory/mapped file image's envelope, then decode it
+ * in place. `owner`/`mapped_bytes` describe `data`'s backing.
  */
 std::shared_ptr<const ServedModel>
 decodeFileImage(const std::byte *data, std::size_t size,
@@ -1309,34 +1123,15 @@ decodeFileImage(const std::byte *data, std::size_t size,
     if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0)
         throw SerializeError("compiled model magic mismatch");
     const std::uint32_t version = loadU32(data + sizeof(kMagic));
-    if (version == kCompiledModelFormatVersion)
-        return decodeV2(data, size, std::move(owner), mapped_bytes);
-    if (version == kCompiledModelLegacyFormatVersion) {
-        logLegacyLoadOnce();
-        return decodeV1(data, size);
-    }
-    throw SerializeError(
-        "compiled model format version " + std::to_string(version) +
-        " unsupported (readable: " +
-        std::to_string(kCompiledModelLegacyFormatVersion) + ", " +
-        std::to_string(kCompiledModelFormatVersion) + ")");
+    if (!isSupportedCompiledModelVersion(version))
+        throw SerializeError(
+            "compiled model format version " + std::to_string(version) +
+            " unsupported (readable: " +
+            std::to_string(kCompiledModelFormatVersion) + ")");
+    return decodeSections(data, size, std::move(owner), mapped_bytes);
 }
 
 } // namespace
-
-void
-writeServedModel(std::ostream &out, const ServedModel &model,
-                 std::uint32_t version)
-{
-    if (version == kCompiledModelFormatVersion)
-        writeServedModelV2(out, model);
-    else if (version == kCompiledModelLegacyFormatVersion)
-        writeServedModelV1(out, model);
-    else
-        throw SerializeError("cannot write compiled model format "
-                             "version " +
-                             std::to_string(version));
-}
 
 std::shared_ptr<const ServedModel>
 readServedModel(std::istream &in)
@@ -1359,30 +1154,22 @@ readServedModel(std::istream &in)
     if (in.bad())
         throw SerializeError("compiled model read failed");
 
-    // A v2 image must sit at 64-byte alignment for its in-place views;
+    // The image must sit at 64-byte alignment for its in-place views;
     // a std::string buffer guarantees no such thing, so rehome the
-    // bytes into an arena image the model then owns. (v1 decodes
-    // byte-wise from anywhere and copies everything immediately.)
-    if (file.size() >= sizeof(kMagic) + 4 &&
-        loadU32(reinterpret_cast<const std::byte *>(file.data()) +
-                sizeof(kMagic)) == kCompiledModelFormatVersion) {
-        auto img = makeArenaImage(file.size());
+    // bytes into an arena image the model then owns.
+    auto img = makeArenaImage(file.size());
+    if (!file.empty()) // an empty image has no arena block to fill
         std::memcpy(img->data, file.data(), file.size());
-        // Pull the fields out BEFORE std::move(img): argument
-        // evaluation order is unspecified, so img->size in the same
-        // call could read a moved-from (null) pointer.
-        const std::byte *base = img->data;
-        const std::size_t size = img->size;
-        return decodeFileImage(base, size, std::move(img), 0);
-    }
-    return decodeFileImage(
-        reinterpret_cast<const std::byte *>(file.data()), file.size(),
-        nullptr, 0);
+    // Pull the fields out BEFORE std::move(img): argument evaluation
+    // order is unspecified, so img->size in the same call could read a
+    // moved-from (null) pointer.
+    const std::byte *base = img->data;
+    const std::size_t size = img->size;
+    return decodeFileImage(base, size, std::move(img), 0);
 }
 
 void
-saveServedModel(const ServedModel &model, const std::string &path,
-                std::uint32_t version)
+saveServedModel(const ServedModel &model, const std::string &path)
 {
     // Per-process temp name: two processes sharing a cache directory
     // can write the same key concurrently; each must stage its own
@@ -1393,7 +1180,7 @@ saveServedModel(const ServedModel &model, const std::string &path,
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out)
             throw SerializeError("cannot open " + tmp + " for writing");
-        writeServedModel(out, model, version);
+        writeServedModel(out, model);
     }
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
         std::remove(tmp.c_str());
@@ -1544,9 +1331,6 @@ sweepCompiledModelDir(const std::string &dir, std::uint64_t max_bytes)
         bool stale = false;
         bool corrupt = false;
         try {
-            // Both readable versions are valid cache entries: a sweep
-            // by a v2-writing build must NOT evict legacy v1 files the
-            // loader still serves (via its copying fallback).
             stale = !isSupportedCompiledModelVersion(
                 peekCompiledModelVersion(e.path.string()));
         } catch (const SerializeError &) {

@@ -8,25 +8,19 @@
  * byte-identical to the freshly built original - same outputs, same
  * AqsStats, at every ISA level.
  *
- * Two format versions are readable:
+ * The format (version 2) is SECTIONED and ZERO-COPY. All bulk payloads
+ * live in 64-byte-aligned sections addressed by an offset directory,
+ * laid out exactly as the kernels consume them, so the loader can mmap
+ * the file read-only (util/mapped_file.h) and hand the operand structs
+ * non-owning views straight into the mapping - no per-structure decode
+ * copies, and every process mapping the same file shares one set of
+ * physical pages. Loading without mmap uses the identical view decode
+ * over one 64-byte-aligned arena copy of the file image. Files of any
+ * other version (including the retired copying v1 stream) are rejected
+ * with SerializeError; the disk tier prunes and rebuilds them and the
+ * sweep removes them as stale.
  *
- *   v2 (current, written by default) - SECTIONED, ZERO-COPY. All bulk
- *   payloads live in 64-byte-aligned sections addressed by an offset
- *   directory, laid out exactly as the kernels consume them, so the
- *   loader can mmap the file read-only (util/mapped_file.h) and hand
- *   the operand structs non-owning views straight into the mapping -
- *   no per-structure decode copies, and every process mapping the same
- *   file shares one set of physical pages. Loading without mmap uses
- *   the identical view decode over one 64-byte-aligned arena copy of
- *   the file image.
- *
- *   v1 (legacy, still readable + writable on request) - a single
- *   little-endian scalar stream; every payload is copied and
- *   re-materialized through the restore() entry points. The loader
- *   falls back to this copying path for v1 files with a one-time log;
- *   the sweep does NOT treat v1 as stale.
- *
- * v2 file layout (all scalar fields little-endian):
+ * File layout (all scalar fields little-endian):
  *
  *   offset  0  "PNCM"                magic
  *   offset  4  u32  format version   2
@@ -52,10 +46,11 @@
  *
  * SIGBUS / corruption discipline on the mapped path: the declared file
  * size, the striped checksum and every structural invariant (directory
- * bounds + alignment, shapes, RLE entry chains and padding) are
- * validated BEFORE any view is handed out, so a truncated or
- * bit-flipped file fails with SerializeError - it can never surface
- * later as a fault inside a kernel reading the mapping.
+ * bounds + alignment, shapes, RLE entry chains and padding, and every
+ * bit width, plane shift and DBS LO width against what the build path
+ * emits for the layer) are validated BEFORE any view is handed out, so
+ * a truncated or bit-flipped file fails with SerializeError - it can
+ * never surface later as a fault inside a kernel reading the mapping.
  *
  * Every reader-side structural violation (bad magic, unsupported
  * version, checksum mismatch, truncation, out-of-range enum, trailing
@@ -87,18 +82,14 @@ class SerializeError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** Current compiled-model format version (bumped on layout changes). */
+/** Compiled-model format version (bumped on layout changes). */
 inline constexpr std::uint32_t kCompiledModelFormatVersion = 2;
-
-/** The legacy copying format; still read (and written on request). */
-inline constexpr std::uint32_t kCompiledModelLegacyFormatVersion = 1;
 
 /** @return whether a reader of this build can load format version v. */
 inline constexpr bool
 isSupportedCompiledModelVersion(std::uint32_t v)
 {
-    return v == kCompiledModelFormatVersion ||
-           v == kCompiledModelLegacyFormatVersion;
+    return v == kCompiledModelFormatVersion;
 }
 
 /** Conventional file extension of compiled models. */
@@ -106,36 +97,33 @@ inline constexpr const char *kCompiledModelExtension = ".pncm";
 
 /**
  * Serialize a prepared model to a stream; throws SerializeError when
- * the stream fails or `version` is unsupported. The byte sequence is a
- * pure function of (prepared state, version) - timing fields excluded
- * except the recorded build cost - so save -> load -> save reproduces
- * identical bytes, for either version.
+ * the stream fails. The byte sequence is a pure function of the
+ * prepared state - timing fields excluded except the recorded build
+ * cost - so save -> load -> save reproduces identical bytes.
  */
-void writeServedModel(std::ostream &out, const ServedModel &model,
-                      std::uint32_t version = kCompiledModelFormatVersion);
+void writeServedModel(std::ostream &out, const ServedModel &model);
 
 /**
- * Deserialize a model (either supported version); throws
+ * Deserialize a model; throws
  * SerializeError on any structural defect (see file header). The
  * returned model is immutable and ready to serve - no calibration,
  * slicing, RLE or HO work happens here. Stream loads always own their
- * payloads (v2 views point into an arena copy of the file image); use
+ * payloads (the views point into an arena copy of the file image); use
  * loadServedModel() for the mmap-backed path.
  */
 std::shared_ptr<const ServedModel> readServedModel(std::istream &in);
 
 /** writeServedModel() to `path` (atomic: temp file + rename). */
-void saveServedModel(const ServedModel &model, const std::string &path,
-                     std::uint32_t version = kCompiledModelFormatVersion);
+void saveServedModel(const ServedModel &model, const std::string &path);
 
 /**
  * Load a compiled model from `path`; SerializeError covers I/O too.
  *
- * With `allow_mmap` (the default) a v2 file is mapped read-only and
+ * With `allow_mmap` (the default) the file is mapped read-only and
  * consumed in place (model->mappedBytes() > 0); the copying decode is
- * the fallback for v1 files, platforms without mmap, and
- * PANACEA_MMAP=0 in the environment (the operational escape hatch -
- * it beats allow_mmap regardless of the caller).
+ * the fallback for platforms without mmap, and PANACEA_MMAP=0 in the
+ * environment (the operational escape hatch - it beats allow_mmap
+ * regardless of the caller).
  */
 std::shared_ptr<const ServedModel> loadServedModel(const std::string &path,
                                                    bool allow_mmap = true);
@@ -186,8 +174,8 @@ CacheDirReport pruneCompiledModelDir(const std::string &dir,
 /**
  * Version-sweep a disk-tier directory: remove every .pncm file whose
  * envelope carries a format version this build cannot READ
- * (isSupportedCompiledModelVersion() - legacy v1 entries are valid and
- * stay) or whose envelope is unreadable/corrupt. With max_bytes > 0,
+ * (isSupportedCompiledModelVersion()) or whose envelope is
+ * unreadable/corrupt. With max_bytes > 0,
  * follows up with pruneCompiledModelDir(). This is the library side of
  * the `panacea_cache_sweep` tool.
  */

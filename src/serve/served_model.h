@@ -84,7 +84,7 @@ class ServedModel
      * the ORIGINAL build spent so cache accounting (buildMsSaved)
      * stays meaningful across processes.
      *
-     * Zero-copy loads (model_serialize.h, format v2) pass
+     * Zero-copy loads (model_serialize.h) pass
      * `payload_owner` - the object whose memory the layers' operand
      * views point into (a MappedFile or an Arena holding the file
      * image); the model keeps it alive for its own lifetime.

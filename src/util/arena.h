@@ -3,7 +3,7 @@
  * Operand memory backing for the zero-copy load path: a 64-byte-aligned
  * owning arena plus an own-or-view vector.
  *
- * The compiled-model format (serve/model_serialize.h, v2) lays every
+ * The compiled-model format (serve/model_serialize.h) lays every
  * bulk payload - slice planes, RLE entry/payload streams, HO masks,
  * folded bias - in 64-byte-aligned sections so a loader can hand the
  * kernels NON-OWNING views straight into the file image instead of
@@ -12,8 +12,8 @@
  * build path, where they own their storage. ArenaVec is that dual
  * backing:
  *
- *   - OWNING:  constructed from a std::vector (the build path, the v1
- *     copying loader). Deep copies, mutation allowed via mutableData().
+ *   - OWNING:  constructed from a std::vector (the build path). Deep
+ *     copies, mutation allowed via mutableData().
  *   - VIEW:    constructed from a span into memory someone else keeps
  *     alive - an mmap'ed file (util/mapped_file.h) or an Arena holding
  *     the file image. Shallow copies, immutable.
@@ -44,7 +44,7 @@
 
 namespace panacea {
 
-/** Alignment of every arena allocation and every .pncm v2 section. */
+/** Alignment of every arena allocation and every .pncm section. */
 inline constexpr std::size_t kArenaAlignment = 64;
 
 /**

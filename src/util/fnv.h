@@ -3,9 +3,8 @@
  * FNV-1a 64-bit hashing, shared by every site that must agree on the
  * exact bit pattern: the compiled-model file checksum and cache-file
  * name (serve/model_serialize.cpp), the ModelSpec fingerprint inside
- * the cache key (serve/served_model.cpp) and the cross-process output
- * digest of bench_serving. One definition, so the constants cannot
- * silently diverge between writers and readers.
+ * the cache key (serve/served_model.cpp). One definition, so the
+ * constants cannot silently diverge between writers and readers.
  *
  * FNV-1a is an integrity/bucketing hash, NOT a MAC: anyone can
  * recompute it, so checksummed files are tamper-evident against
@@ -63,9 +62,8 @@ fnv1a64(const void *data, std::size_t size,
  * checksum a tens-of-MB mapped model before handing out views. Eight
  * lanes break the chain so the multiplies pipeline; the tail (size %
  * 64 bytes) is folded serially. This is a DIFFERENT function from
- * fnv1a64 - the two are not interchangeable, and the compiled-model
- * format records which one a given file version uses (v1: serial,
- * v2: striped).
+ * fnv1a64 - the two are not interchangeable. The compiled-model file
+ * checksum is striped; its cache-file name hash is serial.
  */
 inline std::uint64_t
 fnv1a64Striped(const void *data, std::size_t size)

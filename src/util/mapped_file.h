@@ -1,7 +1,7 @@
 /**
  * @file
  * Read-only memory-mapped file, the zero-copy backing of the compiled
- * model load path (serve/model_serialize.h, format v2).
+ * model load path (serve/model_serialize.h).
  *
  * The mapping is PROT_READ + MAP_SHARED: every process mapping the
  * same .pncm shares one set of physical pages through the page cache,

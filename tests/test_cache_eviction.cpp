@@ -4,17 +4,22 @@
  * stay under its byte cap by least-recently-used pruning (disk hits
  * refresh recency, the newest entry always survives), the version
  * sweep must remove exactly the entries a reader would reject (stale
- * format versions, corrupt envelopes) and nothing else, and a corrupt
- * file must be PRUNED on a failed load - never served, never left to
- * count against the cap forever.
+ * format versions - the retired v1 among them - and corrupt
+ * envelopes) and nothing else, both through the library and through
+ * the panacea_cache_sweep CLI, and a corrupt or retired-format file
+ * must be PRUNED on a failed load and rebuilt - never served, never
+ * left to count against the cap forever.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <sys/wait.h>
 #include <vector>
 
 #include "panacea/runtime.h"
@@ -93,6 +98,22 @@ writeBytes(const std::string &path, const std::string &bytes)
 {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+/** A current file's bytes with the envelope version set to `v`. */
+std::string
+withVersion(std::string bytes, std::uint32_t v)
+{
+    std::memcpy(bytes.data() + 4, &v, sizeof(v));
+    return bytes;
 }
 
 std::size_t
@@ -208,12 +229,9 @@ TEST(CacheEviction, SweepRemovesStaleVersionsAndCorruptKeepsCurrent)
 
     // A stale-version twin: same valid body, version field patched
     // (the version lives OUTSIDE the checksummed payload).
-    std::ifstream in(keep, std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    bytes[4] = static_cast<char>(
-        serve::kCompiledModelFormatVersion + 57);
-    writeBytes(dir.file("stale.pncm"), bytes);
+    writeBytes(dir.file("stale.pncm"),
+               withVersion(readBytes(keep),
+                           serve::kCompiledModelFormatVersion + 57));
     EXPECT_NE(serve::peekCompiledModelVersion(dir.file("stale.pncm")),
               serve::kCompiledModelFormatVersion);
 
@@ -238,18 +256,63 @@ TEST(CacheEviction, CorruptFileIsPrunedAndRebuiltNotLoaded)
     TempDir dir;
     const ModelSpec spec = tinySpec("corrupt-rebuild");
     const std::string path = tierPath(dir, spec);
-    writeBytes(path, "garbage that is definitely not a model");
 
-    serve::PreparedModelCache cache;
-    cache.setDiskDir(dir.path.string());
-    auto model = cache.acquire(spec);
-    ASSERT_NE(model, nullptr);
-    // Rebuilt, not loaded; the corrupt bytes were pruned and the
-    // write-back replaced them with a loadable entry.
-    EXPECT_EQ(cache.stats().diskHits, 0u);
-    EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_EQ(serve::peekCompiledModelVersion(path),
-              serve::kCompiledModelFormatVersion);
+    // A current entry re-labelled as the retired v1 format: its body
+    // is intact, but no reader loads that version any more.
+    {
+        serve::PreparedModelCache seed;
+        seed.setDiskDir(dir.path.string());
+        seed.acquire(spec);
+    }
+    const std::string v1 = withVersion(readBytes(path), 1);
+
+    for (const std::string &bytes :
+         {std::string("garbage that is definitely not a model"), v1}) {
+        writeBytes(path, bytes);
+        serve::PreparedModelCache cache;
+        cache.setDiskDir(dir.path.string());
+        auto model = cache.acquire(spec);
+        ASSERT_NE(model, nullptr);
+        // Rebuilt, not loaded; the unreadable bytes were pruned and
+        // the write-back replaced them with a loadable entry.
+        EXPECT_EQ(cache.stats().diskHits, 0u);
+        EXPECT_EQ(cache.stats().misses, 1u);
+        EXPECT_EQ(serve::peekCompiledModelVersion(path),
+                  serve::kCompiledModelFormatVersion);
+    }
+}
+
+/**
+ * The panacea_cache_sweep CLI end to end: on a directory holding a
+ * current file, a forged version-1 envelope and a corrupt file it
+ * exits 0, keeps the current file and removes the other two. CTest
+ * passes the tool's path in PANACEA_CACHE_SWEEP_BIN.
+ */
+TEST(CacheEviction, SweepToolKeepsCurrentAndRemovesV1AndCorrupt)
+{
+    const char *tool = std::getenv("PANACEA_CACHE_SWEEP_BIN");
+    if (tool == nullptr)
+        GTEST_SKIP() << "PANACEA_CACHE_SWEEP_BIN not set (run via ctest)";
+    TempDir dir;
+    {
+        serve::PreparedModelCache cache;
+        cache.setDiskDir(dir.path.string());
+        cache.acquire(tinySpec("sweep-cli"));
+    }
+    const std::string keep = tierPath(dir, tinySpec("sweep-cli"));
+    ASSERT_TRUE(fs::exists(keep));
+    writeBytes(dir.file("v1.pncm"), withVersion(readBytes(keep), 1));
+    writeBytes(dir.file("corrupt.pncm"), "not a compiled model");
+
+    const std::string cmd = std::string("'") + tool + "' '" +
+                            dir.path.string() + "' > /dev/null";
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << "status " << status;
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+    EXPECT_TRUE(fs::exists(keep));
+    EXPECT_FALSE(fs::exists(dir.file("v1.pncm")));
+    EXPECT_FALSE(fs::exists(dir.file("corrupt.pncm")));
+    EXPECT_EQ(pncmCount(dir), 1u);
 }
 
 TEST(CacheEviction, RuntimeOptionPlumbsTheCap)

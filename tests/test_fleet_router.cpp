@@ -143,11 +143,13 @@ TEST(FleetRouter, PinnedDispatchForAFixedSubmissionSequence)
     const ModelSpec spec = tinySpec("fleet-pinned");
     const CompiledModel model = rt.compile(spec);
 
-    // Two replicas, 12-column bound, six 4-column submissions: the
-    // least-outstanding rule alternates 0,1,0,1,0,1 (ties break to
-    // the lowest index), filling both replicas to the bound; the
-    // seventh and eighth shed. Hand-pinned - if dispatch ever changes,
-    // this fails before the property tests do.
+    // Two replicas, 12-column bound, twelve 4-column submissions -
+    // twice what the fleet can hold: the least-outstanding rule
+    // alternates 0,1,0,1,0,1 (ties break to the lowest index), filling
+    // both replicas to the bound; the other six shed, typed. Nothing
+    // is lost (one terminal each) and what completes is bit-exact
+    // against a solo run. Hand-pinned - if dispatch ever changes, this
+    // fails before the property tests do.
     FleetOptions fopts;
     fopts.replicas = 2;
     fopts.queueCapColumns = 12;
@@ -159,14 +161,16 @@ TEST(FleetRouter, PinnedDispatchForAFixedSubmissionSequence)
     MatrixF x(model.inputFeatures(), 4);
     for (auto &v : x.data())
         v = 0.25f;
+    const std::vector<InferenceResult> solo = soloRun(rt, model, {x});
     std::vector<std::future<FleetResult>> futs;
-    for (int i = 0; i < 8; ++i)
+    for (int i = 0; i < 12; ++i)
         futs.push_back(fleet.submit(spec.name, x));
     fleet.start();
     fleet.drain();
 
-    const int expect_replica[8] = {0, 1, 0, 1, 0, 1, -1, -1};
-    for (int i = 0; i < 8; ++i) {
+    const int expect_replica[12] = {0,  1,  0,  1,  0,  1,
+                                    -1, -1, -1, -1, -1, -1};
+    for (int i = 0; i < 12; ++i) {
         FleetResult r = futs[i].get();
         if (expect_replica[i] < 0) {
             EXPECT_EQ(r.outcome, FleetOutcome::Rejected)
@@ -180,12 +184,14 @@ TEST(FleetRouter, PinnedDispatchForAFixedSubmissionSequence)
             EXPECT_EQ(r.replica, expect_replica[i])
                 << "submission " << i;
             EXPECT_EQ(r.dispatches, 1);
+            EXPECT_TRUE(r.result.output == solo[0].output)
+                << "submission " << i;
         }
     }
     const FleetStats s = fleet.stats();
-    EXPECT_EQ(s.submitted, 8u);
+    EXPECT_EQ(s.submitted, 12u);
     EXPECT_EQ(s.completed, 6u);
-    EXPECT_EQ(s.rejected, 2u);
+    EXPECT_EQ(s.rejected, 6u);
     EXPECT_EQ(s.redispatched, 0u);
 }
 

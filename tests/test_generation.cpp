@@ -3,12 +3,12 @@
  * Generation subsystem tests (src/serve/generation/).
  *
  * The contract under test: a generation's bytes are a pure function of
- * (samplerSeed, prompt bytes) - scheduling policy (phase-aware vs
- * naive FIFO), prefill chunking, ISA level, worker count, admission
- * layer and replica count change WHEN steps execute, never WHAT they
- * compute. On top of identity: the engine's urgent queue pins a
- * deterministic decode-over-prefill schedule; a long chunked prefill
- * may not delay a running decode stream by more than one chunk;
+ * (samplerSeed, prompt bytes) - prefill chunking, ISA level, worker
+ * count, admission layer and replica count change WHEN steps execute,
+ * never WHAT they compute. On top of identity: the engine's urgent
+ * queue pins a deterministic decode-over-prefill schedule, and the
+ * scheduler's decode steps overtake queued Bulk work; a long chunked
+ * prefill may not delay a running decode stream by more than one chunk;
  * SubmitExtras::prepared operands are bit-exact and onReady fires
  * exactly once on every path; drain() delivers exactly one terminal
  * per generation and rejects concurrent generate() calls.
@@ -182,8 +182,8 @@ soloSession(Runtime &rt)
 }
 
 /**
- * Identity across the scheduling sweep: phase-aware and naive FIFO,
- * 1 and 2 workers, shallow and every-boundary admission, continuous
+ * Identity across the scheduling sweep: a chunked and a whole-prompt
+ * prefill, 1 and 2 workers, shallow and every-boundary admission, continuous
  * on and off - all byte-identical to the manual per-step loop, with
  * exact stats folds and the pinned chunk count.
  */
@@ -202,15 +202,15 @@ TEST(Generation, MatchesManualLoopAcrossPolicyWorkersAndAdmission)
 
     struct Sweep
     {
-        bool phaseAware;
+        std::size_t chunkGroups; ///< 8 = the whole prompt in one chunk
         int workers;
         int admitLayer; ///< 0 = default (1); big = every boundary
         bool continuous;
     };
     const std::vector<Sweep> sweeps = {
-        {true, 1, 0, true},  {true, 2, 99, true}, {true, 1, 2, true},
-        {false, 1, 0, true}, {false, 2, 99, true}, {true, 1, 0, false},
-        {false, 1, 0, false},
+        {3, 1, 0, true}, {3, 2, 99, true}, {3, 1, 2, true},
+        {8, 1, 0, true}, {8, 2, 99, true}, {3, 1, 0, false},
+        {8, 1, 0, false},
     };
     for (const Sweep &sw : sweeps) {
         SessionOptions opts;
@@ -225,16 +225,15 @@ TEST(Generation, MatchesManualLoopAcrossPolicyWorkersAndAdmission)
         req.prompt = prompt;
         req.maxSteps = steps;
         req.samplerSeed = 0x5eed;
-        req.phaseAware = sw.phaseAware;
-        req.prefillChunkGroups = 3; // 8 groups -> chunks of 3+3+2
+        req.prefillChunkGroups = sw.chunkGroups; // 3 -> 3+3+2
         const GenerationResult res =
             session.generate(model, req).get();
 
         EXPECT_TRUE(res.prefillOutput == ref.prefill)
-            << "phaseAware=" << sw.phaseAware
+            << "chunkGroups=" << sw.chunkGroups
             << " workers=" << sw.workers;
         EXPECT_TRUE(res.output == ref.output)
-            << "phaseAware=" << sw.phaseAware
+            << "chunkGroups=" << sw.chunkGroups
             << " workers=" << sw.workers;
         expectComputeStatsEqual(res.stats, ref.stats);
         EXPECT_EQ(res.steps, steps);
@@ -244,9 +243,8 @@ TEST(Generation, MatchesManualLoopAcrossPolicyWorkersAndAdmission)
         for (const GenerationStepMeta &m : res.stepMeta)
             if (m.phase == GenerationPhase::Prefill)
                 ++prefill_meta;
-        // Phase-aware chunks the 8-group prompt 3+3+2; naive FIFO
-        // sends it whole (the manual loop's admission).
-        EXPECT_EQ(prefill_meta, sw.phaseAware ? 3u : 1u);
+        // The 8-group prompt goes down as 3+3+2, or whole.
+        EXPECT_EQ(prefill_meta, sw.chunkGroups == 3 ? 3u : 1u);
         EXPECT_EQ(res.stepMeta.size(), prefill_meta + steps);
         EXPECT_GT(res.arenaBytes, 0u);
     }
@@ -407,6 +405,66 @@ TEST(Generation, DecodePhaseOvertakesQueuedPrefillDeterministically)
     EXPECT_EQ(s.prefillRequests, 2u);
     EXPECT_EQ(s.decodeRequests, 2u);
     EXPECT_EQ(s.batches, 4u);
+}
+
+/**
+ * The scheduler's half of phase-aware admission: a generation's decode
+ * steps ride the engine's urgent queue, so they overtake Bulk work
+ * queued ahead of them. Right before each decode step is submitted
+ * (inside the previous step's callback) three whole-prompt Bulk
+ * requests are queued. The single worker takes the first and stalls
+ * in it (stepHook) long enough for the scheduler to submit the decode
+ * step, which must then run before the other two. A decode step
+ * tagged like ordinary FIFO work would run after all three.
+ */
+TEST(Generation, DecodeStepsOvertakeQueuedBulkWork)
+{
+    Runtime rt;
+    const CompiledModel model = rt.compile(tinySpec());
+    const std::size_t v = static_cast<std::size_t>(model.options().v);
+
+    std::atomic<bool> stall_next{false};
+    SessionOptions opts;
+    opts.batchWindow = 1;
+    opts.batchDeadlineMs = 0.0;
+    opts.workers = 1;
+    opts.continuous = false; // one request per cohort, no splicing
+    opts.stepHook = [&stall_next](std::size_t layer) {
+        if (layer == 0 && stall_next.exchange(false))
+            std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    };
+    Session session = rt.createSession(opts);
+
+    const MatrixF bulk = makePrompt(model.inputFeatures(), 8 * v, 0xb0b);
+    std::vector<std::future<InferenceResult>> queued;
+    GenerationRequest req;
+    req.prompt = makePrompt(model.inputFeatures(), v, 0xa11);
+    req.maxSteps = 2;
+    req.onStep = [&](const GenerationStepView &view) {
+        // After the (single) prefill chunk and after decode step 0.
+        if (view.index != 0)
+            return;
+        stall_next = true;
+        for (int i = 0; i < 3; ++i)
+            queued.push_back(session.submit(model, bulk));
+    };
+    const GenerationResult res = session.generate(model, req).get();
+    ASSERT_EQ(queued.size(), 6u);
+    std::vector<std::uint64_t> bulk_seq;
+    for (auto &f : queued)
+        bulk_seq.push_back(f.get().batchSeq);
+
+    std::size_t decode = 0;
+    for (const GenerationStepMeta &m : res.stepMeta) {
+        if (m.phase != GenerationPhase::Decode)
+            continue;
+        EXPECT_LT(m.batchSeq, bulk_seq[3 * decode + 1])
+            << "decode step " << decode << " queued behind Bulk work";
+        EXPECT_LT(m.batchSeq, bulk_seq[3 * decode + 2])
+            << "decode step " << decode << " queued behind Bulk work";
+        ++decode;
+    }
+    EXPECT_EQ(decode, 2u);
 }
 
 /**

@@ -12,7 +12,13 @@
  *    returns a half-built model;
  *  - disk tier: a cold PreparedModelCache pointed at a directory a
  *    warm cache populated serves the model with ZERO builds
- *    (CacheStats::misses == 0, diskHits == 1) and bit-equal behaviour.
+ *    (CacheStats::misses == 0, diskHits == 1) and bit-equal behaviour;
+ *  - fresh processes: two concurrent child processes that mmap the
+ *    saved file serve outputs byte-identical to the in-process build;
+ *  - hostile files: a checksum-restamped file with an out-of-range
+ *    plane shift is rejected at load, and seeded bit flips,
+ *    truncations and directory edits either throw SerializeError or
+ *    load and serve without crashing.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +28,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <spawn.h>
+#include <sstream>
 #include <string>
+#include <sys/wait.h>
 #include <unistd.h>
 #include <vector>
 
@@ -32,7 +41,10 @@
 #include "serve/model_serialize.h"
 #include "serve/operand_cache.h"
 #include "util/cpu_features.h"
+#include "util/fnv.h"
 #include "util/random.h"
+
+extern char **environ;
 
 namespace panacea {
 namespace {
@@ -141,6 +153,31 @@ fieldU64(const std::string &bytes, std::size_t off)
     std::uint64_t v = 0;
     std::memcpy(&v, bytes.data() + off, sizeof(v));
     return v;
+}
+
+void
+setU64(std::string &bytes, std::size_t off, std::uint64_t v)
+{
+    std::memcpy(bytes.data() + off, &v, sizeof(v));
+}
+
+/** Re-stamp the file checksum (offset 16, striped FNV over [24, end)),
+ *  so a crafted edit reaches the structural validators behind it. */
+void
+restampChecksum(std::string &bytes)
+{
+    setU64(bytes, 16,
+           fnv1a64Striped(bytes.data() + 24, bytes.size() - 24));
+}
+
+/** Forge a version-1 envelope: a current file with its version field
+ *  set to the retired copying format's number. */
+std::string
+forgeV1(std::string bytes)
+{
+    const std::uint32_t v1 = 1;
+    std::memcpy(bytes.data() + 4, &v1, sizeof(v1));
+    return bytes;
 }
 
 /** One deterministic request through a model's stack. */
@@ -254,11 +291,12 @@ TEST(ModelSerialize, VersionMagicChecksumAndTruncationAreRejected)
         bad[0] = 'X';
         expectRejected(bad, "magic");
     }
-    // Unknown format version.
+    // Unknown format version, and the retired copying v1 format.
     {
         std::string bad = good;
         bad[4] = static_cast<char>(bad[4] + 1);
         expectRejected(bad, "version");
+        expectRejected(forgeV1(good), "retired v1");
     }
     // Payload corruption -> checksum mismatch.
     {
@@ -424,48 +462,6 @@ TEST(ModelSerialize, MappedAndCopyingLoadsAreBitExactAcrossIsa)
     }
 }
 
-TEST(ModelSerialize, LegacyV1WritesLoadThroughCopyingFallback)
-{
-    TempDir dir;
-    const ModelSpec spec = tinySpec();
-    CompileOptions opts;
-    const CompiledModel fresh = compileModel(spec, opts);
-
-    const std::string v1_path = dir.file("legacy.pncm");
-    saveCompiledModel(fresh, v1_path, kCompiledModelLegacyFormatVersion);
-    const std::string v2_path = dir.file("current.pncm");
-    saveCompiledModel(fresh, v2_path);
-    EXPECT_EQ(peekCompiledModelVersion(v1_path),
-              kCompiledModelLegacyFormatVersion);
-    EXPECT_EQ(peekCompiledModelVersion(v2_path),
-              kCompiledModelFormatVersion);
-
-    // A v1 file can never be served from a mapping: the loader falls
-    // back to the copying decode even with mmap allowed, and the
-    // result is bit-identical to the v2 load and the fresh build.
-    const CompiledModel v1 = loadCompiledModel(v1_path, true);
-    EXPECT_EQ(v1.mappedBytes(), 0u);
-    EXPECT_EQ(v1.key(), fresh.key());
-    const CompiledModel v2 = loadCompiledModel(v2_path, true);
-    const auto ref = runOnce(*fresh.shared());
-    EXPECT_TRUE(runOnce(*v1.shared()).output == ref.output);
-    EXPECT_TRUE(runOnce(*v2.shared()).output == ref.output);
-
-    // v1 save -> load -> save reproduces identical bytes too.
-    const std::string v1_again = dir.file("legacy_again.pncm");
-    saveCompiledModel(v1, v1_again, kCompiledModelLegacyFormatVersion);
-    EXPECT_EQ(readFile(v1_path), readFile(v1_again));
-
-    // And the v1 rejection paths still hold behind the fallback.
-    std::string bad = readFile(v1_path);
-    bad[bad.size() / 2] ^= 0x20;
-    const std::string bad_path = dir.file("legacy_bad.pncm");
-    writeFile(bad_path, bad);
-    EXPECT_THROW(loadCompiledModel(bad_path), SerializeError);
-    writeFile(bad_path, readFile(v1_path).substr(0, bad.size() / 2));
-    EXPECT_THROW(loadCompiledModel(bad_path), SerializeError);
-}
-
 TEST(ModelSerialize, SweepKeepsEveryReadableVersion)
 {
     TempDir dir;
@@ -474,33 +470,249 @@ TEST(ModelSerialize, SweepKeepsEveryReadableVersion)
     opts.maxLayers = 1;
     const CompiledModel model = compileModel(spec, opts);
 
-    // Two valid artifacts (one per readable version), one from the
+    // One current artifact, a retired-v1 envelope, one from the
     // future, one corrupt, one unrelated file.
     saveCompiledModel(model, dir.file("v2.pncm"));
-    saveCompiledModel(model, dir.file("v1.pncm"),
-                      kCompiledModelLegacyFormatVersion);
-    std::string future = readFile(dir.file("v2.pncm"));
+    const std::string current = readFile(dir.file("v2.pncm"));
+    writeFile(dir.file("v1.pncm"), forgeV1(current));
+    std::string future = current;
     future[4] = static_cast<char>(future[4] + 55);
     writeFile(dir.file("future.pncm"), future);
     writeFile(dir.file("garbage.pncm"), "not a compiled model");
     writeFile(dir.file("notes.txt"), "ignored: wrong extension");
+    EXPECT_THROW(loadCompiledModel(dir.file("v1.pncm")), SerializeError);
 
     const serve::CacheDirReport report =
         serve::sweepCompiledModelDir(dir.path.string());
     EXPECT_EQ(report.scanned, 4u);
-    EXPECT_EQ(report.staleVersion, 1u);
+    EXPECT_EQ(report.staleVersion, 2u);
     EXPECT_EQ(report.corrupt, 1u);
     EXPECT_EQ(report.evicted, 0u);
 
-    // The sweep keeps BOTH readable versions - v1 is legacy, not
-    // stale - and ignores non-.pncm files.
+    // The sweep keeps the one readable version - v1 is stale like any
+    // other unreadable version - and ignores non-.pncm files.
     EXPECT_TRUE(std::filesystem::exists(dir.file("v2.pncm")));
-    EXPECT_TRUE(std::filesystem::exists(dir.file("v1.pncm")));
+    EXPECT_FALSE(std::filesystem::exists(dir.file("v1.pncm")));
     EXPECT_FALSE(std::filesystem::exists(dir.file("future.pncm")));
     EXPECT_FALSE(std::filesystem::exists(dir.file("garbage.pncm")));
     EXPECT_TRUE(std::filesystem::exists(dir.file("notes.txt")));
     EXPECT_NO_THROW(loadCompiledModel(dir.file("v2.pncm")));
-    EXPECT_NO_THROW(loadCompiledModel(dir.file("v1.pncm")));
+}
+
+/** Child mode of ConcurrentMappedLoadersMatchTheFreshBuild: the value
+ *  is "<model path>|<report path>". */
+constexpr const char *kMappedLoadChildEnv = "PANACEA_TEST_MAPPED_LOAD";
+
+/**
+ * Runs only in a child process spawned by the test below: mmap-load
+ * the model, serve runOnce(), and write {u64 mappedBytes, u64 rows,
+ * u64 cols, float output[rows*cols]} to the report file.
+ */
+TEST(ModelSerialize, MappedLoadChild)
+{
+    const char *arg = std::getenv(kMappedLoadChildEnv);
+    if (arg == nullptr)
+        GTEST_SKIP() << "child mode; spawned by "
+                        "ConcurrentMappedLoadersMatchTheFreshBuild";
+    const std::string spec(arg);
+    const std::size_t bar = spec.find('|');
+    ASSERT_NE(bar, std::string::npos) << spec;
+    const CompiledModel model = loadCompiledModel(spec.substr(0, bar));
+    const auto got = runOnce(*model.shared());
+    std::string report(24, '\0');
+    setU64(report, 0, model.mappedBytes());
+    setU64(report, 8, got.output.rows());
+    setU64(report, 16, got.output.cols());
+    report.append(reinterpret_cast<const char *>(got.output.data().data()),
+                  got.output.size() * sizeof(float));
+    writeFile(spec.substr(bar + 1), report);
+}
+
+/** posix_spawn this test binary on one test with one extra env var. */
+pid_t
+spawnSelf(const std::string &filter, const std::string &env_kv)
+{
+    std::vector<std::string> env;
+    for (char **e = environ; *e != nullptr; ++e)
+        env.emplace_back(*e);
+    env.push_back(env_kv);
+    std::vector<char *> envp;
+    for (std::string &e : env)
+        envp.push_back(e.data());
+    envp.push_back(nullptr);
+    std::string exe = "/proc/self/exe";
+    std::string flag = "--gtest_filter=" + filter;
+    char *argv[] = {exe.data(), flag.data(), nullptr};
+    pid_t pid = -1;
+    if (::posix_spawn(&pid, exe.c_str(), nullptr, nullptr, argv,
+                      envp.data()) != 0)
+        return -1;
+    return pid;
+}
+
+/**
+ * Cold start in fresh processes: save a freshly built model, then two
+ * CONCURRENT child processes each mmap-load the file and serve one
+ * request. Both must report a mapped load, and both outputs must be
+ * byte-identical to the parent's in-process build. Children are
+ * spawned, not forked: the persistent pool's workers do not survive
+ * a fork.
+ */
+TEST(ModelSerialize, ConcurrentMappedLoadersMatchTheFreshBuild)
+{
+    TempDir dir;
+    const CompiledModel fresh = compileModel(tinySpec(), {});
+    const std::string path = dir.file("m.pncm");
+    saveCompiledModel(fresh, path);
+    const auto ref = runOnce(*fresh.shared());
+
+    std::vector<std::string> reports;
+    std::vector<pid_t> pids;
+    for (int i = 0; i < 2; ++i) {
+        reports.push_back(dir.file("child" + std::to_string(i)));
+        pids.push_back(spawnSelf("ModelSerialize.MappedLoadChild",
+                                 std::string(kMappedLoadChildEnv) + "=" +
+                                     path + "|" + reports.back()));
+        ASSERT_GT(pids.back(), 0) << "posix_spawn failed";
+    }
+    for (pid_t pid : pids) {
+        int status = 0;
+        ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+        ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+            << "child " << pid << " failed (status " << status << ")";
+    }
+    const std::string want(
+        reinterpret_cast<const char *>(ref.output.data().data()),
+        ref.output.size() * sizeof(float));
+    for (const std::string &r : reports) {
+        const std::string report = readFile(r);
+        ASSERT_GE(report.size(), 24u) << r;
+        EXPECT_GT(fieldU64(report, 0), 0u) << r << ": load did not mmap";
+        EXPECT_EQ(fieldU64(report, 8), ref.output.rows());
+        EXPECT_EQ(fieldU64(report, 16), ref.output.cols());
+        EXPECT_TRUE(report.substr(24) == want)
+            << r << ": output differs from the fresh build";
+    }
+}
+
+/**
+ * The META offset of layer 0's first plane head: {i32 shift, u8 high}
+ * records follow the layer's u64 rows and cols. A 7-bit layer has the
+ * two SBR planes {0, LO} and {3, HO}, so the 26-byte pattern is unique.
+ */
+std::size_t
+firstPlaneHead(const std::string &bytes, std::uint64_t rows,
+               std::uint64_t cols)
+{
+    std::string pat(16, '\0');
+    setU64(pat, 0, rows);
+    setU64(pat, 8, cols);
+    pat += std::string("\0\0\0\0\0\x03\0\0\0\x01", 10);
+    const std::size_t at = bytes.find(pat);
+    return at == std::string::npos ? at : at + 16;
+}
+
+TEST(ModelSerialize, OutOfRangePlaneShiftIsRejectedAtLoad)
+{
+    TempDir dir;
+    CompileOptions opts;
+    opts.maxLayers = 1;
+    const ModelSpec spec = tinySpec();
+    const CompiledModel model = compileModel(spec, opts);
+    const std::string path = dir.file("m.pncm");
+    saveCompiledModel(model, path);
+    const std::string good = readFile(path);
+    const std::size_t head =
+        firstPlaneHead(good, spec.layers[0].m, spec.layers[0].kDim);
+    ASSERT_NE(head, std::string::npos);
+
+    // Plane 1 (the HO plane) shift: a shift count of 64 or -1 would be
+    // UB in the GEMM's `<< shift`; the loader must refuse it first,
+    // on both the mapped and the copying path.
+    for (std::int32_t shift : {64, -1}) {
+        std::string bad = good;
+        std::memcpy(bad.data() + head + 5, &shift, sizeof(shift));
+        restampChecksum(bad);
+        const std::string p = dir.file("shift.pncm");
+        writeFile(p, bad);
+        EXPECT_THROW(loadCompiledModel(p, true), SerializeError)
+            << "shift " << shift;
+        EXPECT_THROW(loadCompiledModel(p, false), SerializeError)
+            << "shift " << shift;
+    }
+    // A HO flag moved to the LO plane is rejected the same way.
+    std::string bad = good;
+    bad[head + 4] = 1;
+    restampChecksum(bad);
+    std::istringstream in(bad);
+    EXPECT_THROW(serve::readServedModel(in), SerializeError);
+}
+
+/**
+ * Seeded loader mutation: bit flips (half of them in the header,
+ * directory and META, where the structure lives), truncations with
+ * the declared size patched to match, and directory offset/size
+ * edits - every mutant checksum-restamped so it reaches the structural
+ * validators. Each must throw SerializeError, or load and serve one
+ * request without crashing.
+ */
+TEST(ModelSerialize, SeededMutationsThrowTypedOrServe)
+{
+    TempDir dir;
+    CompileOptions opts;
+    opts.maxLayers = 2;
+    const CompiledModel model = compileModel(tinySpec(), opts);
+    const std::string path = dir.file("m.pncm");
+    saveCompiledModel(model, path);
+    const std::string good = readFile(path);
+    const std::uint64_t sections = fieldU64(good, 24);
+    const std::size_t meta_end = static_cast<std::size_t>(
+        fieldU64(good, 32) + fieldU64(good, 40));
+
+    Rng rng(0x5eed);
+    const auto pick = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<std::int64_t>(n) - 1));
+    };
+    std::size_t rejected = 0, served = 0;
+    const auto check = [&](std::string bytes) {
+        restampChecksum(bytes);
+        std::istringstream in(bytes);
+        std::shared_ptr<const serve::ServedModel> m;
+        try {
+            m = serve::readServedModel(in);
+        } catch (const SerializeError &) {
+            ++rejected;
+            return;
+        }
+        runOnce(*m);
+        ++served;
+    };
+    for (int i = 0; i < 1600; ++i) {
+        std::string bad = good;
+        const std::size_t at =
+            24 + pick((i % 2 == 0 ? meta_end : good.size()) - 24);
+        bad[at] = static_cast<char>(bad[at] ^ (1 << pick(8)));
+        check(bad);
+    }
+    for (int i = 0; i < 160; ++i) {
+        std::string bad = good.substr(0, 32 + pick(good.size() - 32));
+        setU64(bad, 8, bad.size());
+        check(bad);
+    }
+    for (int i = 0; i < 480; ++i) {
+        std::string bad = good;
+        const std::size_t field = 32 + 16 * pick(sections) + 8 * pick(2);
+        const std::uint64_t edits[] = {
+            fieldU64(good, field) + 64, fieldU64(good, field) - 64,
+            fieldU64(good, field) + 1, 0, good.size(),
+            ~std::uint64_t{0} - 63};
+        setU64(bad, field, edits[pick(6)]);
+        check(bad);
+    }
+    EXPECT_EQ(rejected + served, 2240u);
+    EXPECT_GT(rejected, 0u);
+    EXPECT_GT(served, 0u);
 }
 
 } // namespace

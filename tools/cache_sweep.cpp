@@ -7,8 +7,9 @@
  * format versions and corrupt envelopes - and, with --max-mb, enforces
  * a size cap by least-recently-used pruning (disk hits refresh a
  * file's timestamp, so idle entries go first; the newest entry always
- * survives). Entries of any READABLE format version are left intact -
- * legacy v1 files still load (via the copying path) and stay.
+ * survives). Entries of the readable format version are left intact;
+ * older versions (the retired v1 stream included) are removed as
+ * stale, since the disk tier rebuilds them anyway.
  *
  * Usage:
  *   panacea_cache_sweep <dir> [--max-mb=N] [--dry-run]
