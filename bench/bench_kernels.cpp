@@ -22,15 +22,17 @@
  * serial-vs-parallel preparation-stage speedups, and a parity flag
  * asserting every kernel agreed with the reference bit-for-bit during
  * the run. With --density-sweep it additionally records GMAC/s of the
- * static vs measured stream/gather dispatch policy
+ * static vs measured stream/list dispatch policy
  * (core/kernel_cost_model.h) across activation densities - the CI gate
  * asserts the measured policy never loses more than noise to the
  * static rule at any density. --shapes instead times aqsGemm on the
  * real operands of the served llama32_1b stack (N = 512, one prefill
  * round) and bertBase (N = 8) and records, per layer, the measured ms
- * next to what the stream/gather cost model predicted for the same
+ * next to what the stream/list cost model predicted for the same
  * pass choices, plus the single-thread ms under forced stream and
- * forced gather; a layer's parity requires all three outputs equal.
+ * forced gather (every pass with a list runs listed; the JSON keeps
+ * the "gather" names); a layer's parity requires all three outputs
+ * equal.
  * See README.md ("Bench JSON schema") for the field list.
  */
 
@@ -225,12 +227,13 @@ struct ShapeResult
 };
 
 /**
- * What the stream/gather cost model predicts one aqsGemm call costs on
+ * What the stream/list cost model predicts one aqsGemm call costs on
  * a single thread: per (m-group, n-group) tile, every pair pass the
- * kernel runs is priced as stream_ps_per_pair * pairCount(kk) when the
- * call's StreamDecision streams it, else gather_ps_per_step * nk - the
- * same per-pass choice the kernel makes. Fills the prediction and
- * pass-count fields of `res`.
+ * kernel runs is priced as 2 * stream_ps_per_pair per quad over all kq
+ * quads when the call's StreamDecision streams it, else 4 *
+ * gather_ps_per_step per listed quad - the same per-pass choice the
+ * kernel makes (served activations are unsigned, so every side may
+ * list). Fills the prediction and pass-count fields of `res`.
  */
 void
 predictLayer(const WeightOperand &w, const ActivationOperand &x,
@@ -240,46 +243,48 @@ predictLayer(const WeightOperand &w, const ActivationOperand &x,
     const std::size_t uv = static_cast<std::size_t>(cfg.v);
     const std::size_t m_groups = w.sliced.rows() / uv;
     const std::size_t n_groups = x.sliced.cols() / uv;
-    const std::uint64_t kkp = detail::pairCount(kk);
-    const detail::PairPassKernels &kern =
-        detail::pairPassKernels(activeIsaLevel());
+    const std::size_t kq = detail::quadCount(kk);
     const detail::StreamDecision sd = detail::streamDecision(
-        kern.level, cfg.v == 4 ? detail::KernelFamily::Pass4
-                               : detail::KernelFamily::Generic);
-    const bool stream_ok = sd.policy != StreamPolicy::Gather &&
-                           detail::streamKernelsRunnable(kern, cfg.v);
+        activeIsaLevel(), cfg.v == 4 ? detail::KernelFamily::Pass4
+                                     : detail::KernelFamily::Generic);
     const bool x_identity = cfg.actSkip == ActSkipMode::None;
     const detail::SkipLists xd =
         x_identity ? detail::SkipLists{} : detail::buildSkipLists(x.hoMask);
     const std::size_t words = detail::bitsetWords(kk);
     std::vector<std::uint64_t> wbits(words);
-    std::vector<std::uint32_t> wlist(kk);
 
     std::uint64_t ps = 0;
-    auto pass = [&](std::uint64_t nk, std::uint64_t count) {
-        if (stream_ok && sd.profitable(nk, kk)) {
-            ps += count * sd.stream_ps_per_pair * kkp;
+    // A pass with a list of nq quads (`listed`), else over all of them.
+    auto pass = [&](bool listed, std::uint64_t nq, std::uint64_t count) {
+        if (!listed || sd.profitable(nq, kq)) {
+            ps += count * 2 * sd.stream_ps_per_pair * kq;
             res.streamPasses += count;
         } else {
-            ps += count * sd.gather_ps_per_step * nk;
+            ps += count * 4 * sd.gather_ps_per_step * nq;
             res.gatherPasses += count;
         }
     };
     const std::uint64_t lo_lo = (res.wLevels - 1) * (res.xLevels - 1);
     for (std::size_t mg = 0; mg < m_groups; ++mg) {
-        const std::uint64_t nwd = detail::denseStepsOfRow(
-            w.hoMask.row(mg).data(), kk, wbits.data(), wlist.data());
+        const bool w_listed =
+            detail::denseStepsOfRow(w.hoMask.row(mg).data(), kk,
+                                    wbits.data()) != kk;
+        const std::uint64_t nwq = detail::quadCountOf(
+            words, [&](std::size_t i) { return wbits[i]; });
         for (std::size_t ng = 0; ng < n_groups; ++ng) {
-            std::uint64_t nxd = kk, nboth = nwd;
-            if (!x_identity) {
-                nxd = xd.count(ng);
-                nboth = detail::bitsetAndCount(xd.bitset(ng),
-                                               wbits.data(), words);
+            const bool x_listed = !x_identity && xd.count(ng) != kk;
+            const std::uint64_t nxq = x_listed ? xd.qcount(ng) : kq;
+            std::uint64_t nboth = w_listed ? nwq : nxq;
+            if (w_listed && x_listed) {
+                const std::uint64_t *xbits = xd.bitset(ng);
+                nboth = detail::quadCountOf(words, [&](std::size_t i) {
+                    return xbits[i] & wbits[i];
+                });
             }
-            pass(kk, lo_lo);
-            pass(nwd, res.xLevels - 1);
-            pass(nxd, res.wLevels - 1);
-            pass(nboth, 1);
+            pass(false, kq, lo_lo);
+            pass(w_listed, nwq, res.xLevels - 1);
+            pass(x_listed, nxq, res.wLevels - 1);
+            pass(w_listed || x_listed, nboth, 1);
         }
     }
     res.predicted = sd.policy == StreamPolicy::Measured && sd.measured;
@@ -339,8 +344,8 @@ runModelShapes(const BenchOptions &opt, const ModelSpec &spec,
         r.executed = st1.executedOuterProducts;
 
         // The same operands under forced stream and forced gather: the
-        // stream kernels must agree with the gathers on served shapes,
-        // not only on test shapes.
+        // dense streams must agree with the listed passes on served
+        // shapes, not only on test shapes.
         setParallelThreads(1);
         const StreamPolicy policy = activeStreamPolicy();
         for (StreamPolicy forced :
@@ -520,11 +525,6 @@ main(int argc, char **argv)
         double scalar_ms = 0.0;
         for (IsaLevel lvl : runnableIsaLevels()) {
             setIsaLevel(lvl);
-            // Prepare at this level so the precomputed operand caches
-            // match the dispatch tier under test - otherwise rows
-            // measured under a low PANACEA_ISA pin would time hidden
-            // per-call paired-plane rebuilds and the two CI legs'
-            // numbers would not be comparable.
             WeightOperand w_op = prepareWeights(w, 1, cfg);
             ActivationOperand x_op = prepareActivations(x, 1, zp, cfg);
             if (!have_ref) {
@@ -548,10 +548,10 @@ main(int argc, char **argv)
     }
 
     // --- Static vs measured dispatch policy across densities ---------
-    // The stream/gather crossover moves with activation density (dense
-    // lists favor streaming, sparse ones gathering); this sweep pins
+    // The stream/list crossover moves with activation density (dense
+    // lists favor streaming, sparse ones listing); this sweep pins
     // where the per-host measured-cost policy wins over the static
-    // 2*nk >= kk rule and by how much. Single-threaded so the numbers
+    // 2*nq >= kq rule and by how much. Single-threaded so the numbers
     // isolate the dispatch choice, not pool effects.
     std::vector<DensityPoint> density_points;
     if (opt.densitySweep) {

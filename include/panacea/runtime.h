@@ -53,8 +53,9 @@ struct RuntimeOptions
      */
     std::string isa;
     /**
-     * Stream-vs-gather dispatch policy for the pair-pass kernels:
-     * "static" | "measured" | "stream" | "gather"; "" keeps the
+     * Dense-stream vs listed-quad dispatch policy for the pair-pass
+     * kernels: "static" | "measured" | "stream" | "gather" (every
+     * pass with a quad list runs listed); "" keeps the
      * current selection (PANACEA_STREAM_POLICY env var, default
      * "measured" - the per-host calibrated cost comparison). Also
      * process-global; every policy produces bit-identical results.

@@ -89,30 +89,12 @@ prepareWeights(const MatrixI32 &codes, int n, const AqsConfig &cfg)
 
 namespace {
 
-/**
- * Whether any streaming kernel could consume quad operands on this
- * host + build (the best runnable dispatch row has one, via the shared
- * streamKernelsRunnable predicate in core/pair_pass.h) AND the active
- * policy could ever choose a stream: gates the quad-plane precompute
- * so scalar-only hosts, non-streamable configurations and forced
- * gather runs pay neither the prep time nor the memory.
- */
-bool
-streamKernelsAvailable(const AqsConfig &cfg)
-{
-    if (activeStreamPolicy() == StreamPolicy::Gather)
-        return false;
-    return detail::streamKernelsRunnable(
-        detail::pairPassKernels(activeIsaLevel()), cfg.v);
-}
-
-/** Build mask, RLE streams and kernel operand caches for an
+/** Build mask, RLE streams and the quad kernel operand for an
  *  activation HO plane. */
 void
 finishActivationOperand(ActivationOperand &op, const AqsConfig &cfg)
 {
     const Matrix<Slice> &ho = op.sliced.hoPlane().data;
-    op.widenedPlanes = detail::widenSlicePlanes(op.sliced);
     Slice skip_value = 0;
     switch (cfg.actSkip) {
       case ActSkipMode::RValued:
@@ -122,18 +104,18 @@ finishActivationOperand(ActivationOperand &op, const AqsConfig &cfg)
         skip_value = 0;
         break;
       case ActSkipMode::None:
-        op.hoMask = MatrixU8(ho.rows(), ho.cols() / cfg.v, 0);
-        op.streams = encodeActivationPlane(ho, cfg.v, /*r=*/-1,
-                                           cfg.rleIndexBits);
-        if (streamKernelsAvailable(cfg))
-            op.quadPlanes =
-                detail::quadSlicePlanes(op.sliced, cfg.v, &op.hoMask);
-        return;
+        skip_value = -1;
+        break;
     }
-    op.hoMask = activationVectorMask(ho, cfg.v, skip_value);
+    if (cfg.actSkip == ActSkipMode::None)
+        op.hoMask = MatrixU8(ho.rows(), ho.cols() / cfg.v, 0);
+    else
+        op.hoMask = activationVectorMask(ho, cfg.v, skip_value);
     op.streams = encodeActivationPlane(ho, cfg.v, skip_value,
                                        cfg.rleIndexBits);
-    if (streamKernelsAvailable(cfg))
+    // The quad operand of every pair pass, whenever the blocked band
+    // (not the scalar reference) will run.
+    if (detail::aqsBlockedKernelExact(ho.rows(), cfg.v))
         op.quadPlanes =
             detail::quadSlicePlanes(op.sliced, cfg.v, &op.hoMask);
 }
@@ -194,14 +176,24 @@ countTraffic(AqsStats &local, const WeightOperand &w,
 }
 
 /**
- * m-groups a band processes together. Each n-group's activation
- * operand (quad planes and the rows a gather touches) is then read
- * once per block instead of once per m-group, which matters when an
- * n-group's operand outgrows the private caches (K = 8192 x 3
- * activation levels streams ~12 MB of quads per m-group from L3). A constant
- * chosen by measurement on the served llama32_1b shapes, not an option.
+ * m-groups a band processes together. Each n-group's activation quad
+ * planes are then read once per block instead of once per m-group,
+ * which matters when an n-group's operand outgrows the private caches
+ * (K = 8192 x 3 activation levels streams ~12 MB of quads per m-group
+ * from L3). A constant chosen by measurement on the served llama32_1b
+ * shapes, not an option.
  */
 constexpr std::size_t kMGroupBlock = 4;
+
+/**
+ * The quads one pair pass visits: `qs` == nullptr means all `nq` = kq
+ * quads in order (the dense stream), else the listed quads qs[0..nq).
+ */
+struct QuadList
+{
+    const std::uint32_t *qs = nullptr;
+    std::size_t nq = 0;
+};
 
 /**
  * The register-blocked kernel body for one contiguous band of m-groups
@@ -211,27 +203,33 @@ constexpr std::size_t kMGroupBlock = 4;
  *
  * The band walks its m-groups in blocks of kMGroupBlock. Per m-group
  * of a block:
- *   - pack the v weight rows of every slice plane into a contiguous
- *     int16 [k][i] tile for the gathers and, when streams can run, an
- *     s8 quad tile for the streams (reused across every n-group);
- *   - build the weight-side dense-step bitset and skip list from the
- *     HO mask row in one pass (detail::denseStepsOfRow).
+ *   - pack the v weight rows of every slice plane into the s8 quad
+ *     layout (reused across every n-group);
+ *   - build the weight-side dense-step bitset from the HO mask row and
+ *     list the quads that hold a dense step (detail::quadListOf).
  * Per n-group, then per m-group of the block, one (mg, ng) tile:
- *   - run one branch-free pair pass (through the ISA-dispatched kernel
- *     table `kern`; see core/pair_pass.h) per (weight-plane,
- *     activation-plane) combination over the matching skip list - all
- *     steps for LO/LO pairs, the weight list for HO_w, the activation
- *     list for HO_x, their intersection for HO_w/HO_x. The
- *     intersection's length is a popcount of the ANDed bitsets; its
- *     list is written (ascending, by ctz) only when a gather pass
- *     reads it;
+ *   - run one pair pass (through the ISA-dispatched kernel table
+ *     `kern`; see core/pair_pass.h) per (weight-plane,
+ *     activation-plane) combination over the quad operands: all quads
+ *     for LO/LO pairs, the weight-side quad list for HO_w, the
+ *     activation-side list for HO_x, and for HO_w/HO_x the quads of the
+ *     ANDed dense-step bitsets (counted by popcount, listed by ctz only
+ *     when the pass reads the list). The stream decision `sd` (resolved
+ *     once per GEMM call from the active policy + this host's
+ *     calibrated costs; see core/kernel_cost_model.h) picks the dense
+ *     stream over all quads instead whenever it predicts that cheaper.
+ *     The operands zero every compressed step, so both visit the same
+ *     nonzero products and the choice never changes a result;
  *   - merge each int32 pair accumulator into the int64 micro-tile with
  *     its positional shift, add the Eq. (6) compensation, and write the
  *     tile back in one pass.
- * The band counts nothing: statistics come from aqsCountStats, which
- * derives them from the masks alone. Bands own disjoint accumulator
- * rows, so results are bit-identical for any thread count or block
- * size.
+ * Signed activation planes (Sibia) are stored as x + x_off; each pass
+ * over them subtracts x_off * (row sums of the weight plane), which is
+ * exact when every unvisited quad has zero weights - so such passes
+ * take no activation-side list. The band counts nothing: statistics
+ * come from aqsCountStats, which derives them from the masks alone.
+ * Bands own disjoint accumulator rows, so results are bit-identical
+ * for any thread count or block size.
  *
  * The band reads its operands by reference - slice planes, the weight
  * HO mask and, under r-valued skipping only, the total weight codes -
@@ -244,9 +242,8 @@ blockedBand(const SlicedMatrix &w, const MatrixU8 &w_mask,
             const MatrixI32 &w_total, const SlicedMatrix &x, Slice r,
             const AqsConfig &cfg, const detail::PairPassKernels &kern,
             const detail::StreamDecision &sd,
-            const detail::SkipLists &xd, const std::int16_t *x16,
-            const std::uint8_t *xq, std::size_t mg0, std::size_t mg1,
-            MatrixI64 &acc)
+            const detail::SkipLists &xd, const std::uint8_t *xq,
+            std::size_t mg0, std::size_t mg1, MatrixI64 &acc)
 {
     const int v = VT > 0 ? VT : cfg.v;
     constexpr int TV = VT > 0 ? VT : 16; // static tile bound (v <= 16)
@@ -265,41 +262,31 @@ blockedBand(const SlicedMatrix &w, const MatrixU8 &w_mask,
     const std::int64_t r_scaled = static_cast<std::int64_t>(r)
                                   << x_ho_shift;
 
-    std::vector<const std::int16_t *> xbase(x_levels);
     std::vector<int> xshift(x_levels);
-    for (std::size_t xl = 0; xl < x_levels; ++xl) {
-        xbase[xl] = x16 + xl * kk * n;
+    for (std::size_t xl = 0; xl < x_levels; ++xl)
         xshift[xl] = x.planes[xl].shift;
-    }
 
-    // Streaming fast path (SSE2+ generic-v, AVX2+ for v = 4): dense
-    // masked passes over the 8-bit quad operands (s8 weights, u8
-    // activations, four reduction steps per 32-bit lane) replace
-    // skip-list gathers whenever the stream decision `sd` (resolved
-    // once per GEMM call from the active policy + this host's
-    // calibrated costs; see core/kernel_cost_model.h) predicts the
-    // stream cheaper. Both sum the same products, so the choice never
-    // changes a result. Signed activation planes (Sibia) are streamed
-    // as x + x_off; each such pass subtracts x_off * (row sums of the
-    // weight quads it read), which restores the exact sum.
-    const bool stream_ok =
-        xq != nullptr && detail::streamKernelsRunnable(kern, v);
     const std::size_t kq = detail::quadCount(kk);
     const std::size_t pw = 4 * uv;
     const std::int32_t x_off = detail::quadActOffset(x);
     const std::size_t words = detail::bitsetWords(kk);
+    const QuadList all{nullptr, kq};
+    // A listed pass, unless the dense stream is predicted cheaper.
+    const auto choose = [&](const std::uint32_t *qs, std::size_t nq) {
+        return sd.profitable(nq, kq) ? all : QuadList{qs, nq};
+    };
 
     // Per-m-group operands of one block, allocated once per band and
     // reused for every block.
     struct MGroup
     {
         std::size_t mg = 0;
-        std::size_t nwd = 0; ///< dense steps of this m-group
+        bool wfull = false; ///< every step of the band is dense
         std::vector<std::uint64_t> wbits;
-        std::vector<std::uint32_t> wd;
-        std::vector<std::int16_t> wpack;
-        std::vector<std::int8_t> wq, wqm;
-        /// x_off * quad row sums: w_levels planes of wq, then wqm.
+        std::vector<std::uint32_t> wqs; ///< quads holding a dense step
+        QuadList wlist;                 ///< HO_w passes' choice
+        std::vector<std::int8_t> wq;
+        /// x_off * quad row sums, one v-row per plane of wq.
         std::vector<std::int32_t> wqoff;
         std::vector<std::int32_t> ttpack;
         std::array<std::int64_t, TV> bprow, ttfull;
@@ -307,50 +294,32 @@ blockedBand(const SlicedMatrix &w, const MatrixU8 &w_mask,
     std::vector<MGroup> block(std::min(kMGroupBlock, mg1 - mg0));
     for (MGroup &g : block) {
         g.wbits.resize(words);
-        g.wd.resize(kk);
-        g.wpack.resize(w_levels * kk * uv);
+        g.wqs.resize(kq);
         g.ttpack.resize(r_skip ? kk * uv : 0);
-        g.wqoff.resize(stream_ok && x_off != 0 ? (w_levels + 1) * uv : 0);
+        g.wqoff.resize(x_off != 0 ? w_levels * uv : 0);
     }
-    std::vector<std::uint32_t> wxd(kk);
+    std::vector<std::uint32_t> both_qs(kq);
     std::array<std::int32_t, TV * TV> pacc;
     std::array<std::int64_t, TV * TV> tile;
     std::array<std::int64_t, TV> wsum;
 
     auto prepare = [&](MGroup &g, std::size_t mg) {
-        const std::uint8_t *wmask = w_mask.row(mg).data();
         g.mg = mg;
-        g.nwd = detail::denseStepsOfRow(wmask, kk, g.wbits.data(),
-                                        g.wd.data());
+        g.wfull = detail::denseStepsOfRow(w_mask.row(mg).data(), kk,
+                                          g.wbits.data()) == kk;
+        const std::uint64_t *wbits = g.wbits.data();
+        const std::size_t nwq = detail::quadListOf(
+            words, [wbits](std::size_t i) { return wbits[i]; },
+            g.wqs.data());
+        g.wlist = g.wfull ? all : choose(g.wqs.data(), nwq);
 
-        // Pack the band's weight rows, widened: wpack[(wl*kk + k)*v + i].
-        for (std::size_t wl = 0; wl < w_levels; ++wl) {
-            const Slice *base = w.planes[wl].data.data().data();
-            std::int16_t *dst = g.wpack.data() + wl * kk * uv;
-            for (int i = 0; i < v; ++i) {
-                const Slice *src =
-                    base + (mg * uv + static_cast<std::size_t>(i)) * kk;
-                for (std::size_t k = 0; k < kk; ++k)
-                    dst[k * uv + static_cast<std::size_t>(i)] = src[k];
-            }
-        }
-
-        // Quad-stream weight operands (unmasked + masked HO when a
-        // streamed HO_w pass could read it; see operand_pack.h), and
-        // the offset corrections of signed activations.
-        if (stream_ok) {
-            detail::packStreamWeightOperands(w, mg, v, wmask, g.nwd,
-                                             sd, g.wq, g.wqm);
-            if (x_off != 0) {
-                for (std::size_t wl = 0; wl < w_levels; ++wl)
-                    detail::quadRowSums(g.wq.data() + wl * kq * pw, kq, v,
-                                        g.wqoff.data() + wl * uv);
-                if (!g.wqm.empty())
-                    detail::quadRowSums(g.wqm.data(), kq, v,
-                                        g.wqoff.data() + w_levels * uv);
-                for (std::int32_t &e : g.wqoff)
-                    e *= x_off;
-            }
+        detail::packWeightBandQuad(w, mg, v, g.wq);
+        if (x_off != 0) {
+            for (std::size_t wl = 0; wl < w_levels; ++wl)
+                detail::quadRowSums(g.wq.data() + wl * kq * pw, kq, v,
+                                    g.wqoff.data() + wl * uv);
+            for (std::int32_t &e : g.wqoff)
+                e *= x_off;
         }
 
         if (r_skip) {
@@ -374,102 +343,59 @@ blockedBand(const SlicedMatrix &w, const MatrixU8 &w_mask,
 
     auto runTile = [&](const MGroup &g, std::size_t ng) {
         const std::size_t mg = g.mg;
-        const std::size_t nwd = g.nwd;
-        const bool wd_full = nwd == kk;
         const std::uint32_t *xlist = xd.identity ? nullptr : xd.list(ng);
         const std::size_t nxd = xd.identity ? kk : xd.count(ng);
         const bool xd_full = nxd == kk;
         const std::size_t ng_off = ng * uv;
 
-        // Intersection for the HO_w x HO_x pair (lazy; only when both
-        // sides actually compress something): ANDed dense-step bitsets,
-        // counted by popcount, listed by ctz.
-        const std::uint32_t *both = nullptr;
-        std::size_t nboth = 0;
-        bool both_identity = false;
-        if (wd_full) {
-            both = xlist;
-            nboth = nxd;
-            both_identity = xd.identity || xd_full;
-            if (both_identity) {
-                both = nullptr;
-                nboth = kk;
-            }
-        } else if (xd.identity || xd_full) {
-            both = g.wd.data();
-            nboth = nwd;
-        } else {
+        // Activation-side list: none when every step is dense, and none
+        // over offset (signed) activations, whose correction needs
+        // every quad with nonzero weights visited.
+        const bool x_listed = !xd_full && x_off == 0;
+        const QuadList xlist_q =
+            x_listed ? choose(xd.qlist(ng), xd.qcount(ng)) : all;
+        // HO_w x HO_x: the intersection's quads when both sides list
+        // (counted by popcount, listed only when a pass reads them).
+        QuadList both = g.wfull ? xlist_q : g.wlist;
+        if (!g.wfull && x_listed) {
             const std::uint64_t *xbits = xd.bitset(ng);
             const std::uint64_t *wbits = g.wbits.data();
-            // Count first; materialize the list only when the gather
-            // path will read it (the stream path needs just the count
-            // for the cost decision).
-            if (stream_ok)
-                nboth = detail::bitsetAndCount(xbits, wbits, words);
-            if (stream_ok && sd.profitable(nboth, kk)) {
-                both = nullptr; // stream pass; ks is never read
-            } else {
-                nboth = detail::bitsetToList(
-                    words,
-                    [&](std::size_t i) { return xbits[i] & wbits[i]; },
-                    wxd.data());
-                both = wxd.data();
-            }
+            const auto word = [&](std::size_t i) {
+                return xbits[i] & wbits[i];
+            };
+            const std::size_t nboth = detail::quadCountOf(words, word);
+            both = sd.profitable(nboth, kq)
+                       ? all
+                       : QuadList{both_qs.data(),
+                                  detail::quadListOf(words, word,
+                                                     both_qs.data())};
         }
 
         tile.fill(0);
 
         for (std::size_t wl = 0; wl < w_levels; ++wl) {
-            const std::int16_t *wp = g.wpack.data() + wl * kk * uv;
+            const std::int8_t *wqp = g.wq.data() + wl * kq * pw;
             const int w_shift = w.planes[wl].shift;
             const bool w_is_ho = wl == w_ho;
             for (std::size_t xl = 0; xl < x_levels; ++xl) {
-                const std::uint32_t *ks;
-                std::size_t nk;
-                bool identity;
                 const bool x_is_ho = xl == x_ho;
-                if (w_is_ho && x_is_ho) {
-                    ks = both;
-                    nk = nboth;
-                    identity = both == nullptr;
-                } else if (w_is_ho) {
-                    ks = wd_full ? nullptr : g.wd.data();
-                    nk = nwd;
-                    identity = wd_full;
-                } else if (x_is_ho) {
-                    ks = (xd.identity || xd_full) ? nullptr : xlist;
-                    nk = nxd;
-                    identity = ks == nullptr;
-                } else {
-                    ks = nullptr;
-                    nk = kk;
-                    identity = true;
-                }
-
-                if (stream_ok && sd.profitable(nk, kk)) {
-                    const bool masked = w_is_ho && !wd_full;
-                    const std::int8_t *wqp =
-                        masked ? g.wqm.data() : g.wq.data() + wl * kq * pw;
-                    const std::uint8_t *xqp =
-                        xq + (xl * n_groups + ng) * kq * pw;
-                    if constexpr (VT == 4)
-                        kern.stream4(wqp, xqp, kq, pacc.data());
-                    else
-                        kern.streamGeneric(wqp, xqp, kq, v, pacc.data());
-                    if (x_off != 0) {
-                        const std::int32_t *off =
-                            g.wqoff.data() + (masked ? w_levels : wl) * uv;
-                        for (int i = 0; i < v; ++i)
-                            for (int j = 0; j < v; ++j)
-                                pacc[static_cast<std::size_t>(i * v + j)] -=
-                                    off[i];
-                    }
-                } else if constexpr (VT == 4) {
-                    kern.pass4(wp, xbase[xl], n, ng_off, ks, nk, identity,
-                               pacc.data());
-                } else {
-                    kern.passGeneric(wp, xbase[xl], n, ng_off, ks, nk,
-                                     identity, v, pacc.data());
+                const QuadList &ql = w_is_ho ? (x_is_ho ? both : g.wlist)
+                                             : (x_is_ho ? xlist_q : all);
+                const std::uint8_t *xqp =
+                    xq + (xl * n_groups + ng) * kq * pw;
+                const bool identity = ql.qs == nullptr;
+                if constexpr (VT == 4)
+                    kern.stream4(wqp, xqp, ql.qs, ql.nq, identity,
+                                 pacc.data());
+                else
+                    kern.streamGeneric(wqp, xqp, ql.qs, ql.nq, identity, v,
+                                       pacc.data());
+                if (x_off != 0) {
+                    const std::int32_t *off = g.wqoff.data() + wl * uv;
+                    for (int i = 0; i < v; ++i)
+                        for (int j = 0; j < v; ++j)
+                            pacc[static_cast<std::size_t>(i * v + j)] -=
+                                off[i];
                 }
 
                 const int shift = w_shift + xshift[xl];
@@ -480,7 +406,6 @@ blockedBand(const SlicedMatrix &w, const MatrixU8 &w_mask,
                         << shift;
             }
         }
-
         if (r_skip) {
             // Eq. (6): wsum over the weight columns of uncompressed
             // activation vectors (the CS reuses the slices already
@@ -572,7 +497,6 @@ MatrixI64
 blockedGemm(const SlicedMatrix &w, const MatrixU8 &w_mask,
             const MatrixI32 &w_total, const SlicedMatrix &x,
             const MatrixU8 &x_mask, Slice r, const AqsConfig &cfg,
-            std::span<const std::int16_t> x16_cache,
             std::span<const std::uint8_t> xq_cache)
 {
     const int v = cfg.v;
@@ -595,48 +519,28 @@ blockedGemm(const SlicedMatrix &w, const MatrixU8 &w_mask,
     // the level changes throughput only, never results.
     const PairPassKernels &kern = pairPassKernels(activeIsaLevel());
 
-    // Stream-vs-gather decision for this call, also resolved once (the
+    // Stream-vs-list decision for this call, also resolved once (the
     // policy and cost-table lookups stay out of the per-pass loop).
     // Every alternative sums the same products, so the decision changes
     // throughput only, never results.
     const StreamDecision sd = streamDecision(
         kern.level, v == 4 ? KernelFamily::Pass4 : KernelFamily::Generic);
 
-    // Widened activation planes (int16, same [k][n] layout): the gather
-    // passes run on 16-bit operands so two listed steps fit one
-    // multiply-accumulate lane. prepareActivations* precomputes them;
-    // widen on the fly for hand-built operands and the Sibia front end.
-    std::vector<std::int16_t> x16_local;
-    const std::int16_t *x16 = nullptr;
-    if (x16_cache.size() == x_levels * kk * n) {
-        x16 = x16_cache.data();
-    } else {
-        x16_local = widenSlicePlanes(x);
-        x16 = x16_local.data();
-    }
-
-    // Quad-stream activation planes for the streaming passes; like the
-    // widened planes they are precomputed by prepareActivations* and
-    // rebuilt here otherwise (only when a streaming kernel exists).
+    // Quad activation planes: precomputed by prepareActivations*,
+    // rebuilt here for hand-built operands and the Sibia front end. The
+    // byte size alone cannot tell a layout built for another v (it is
+    // v-independent); the mask width pins it. Under ActSkipMode::None
+    // the mask is never read (hand-built operands may leave it empty),
+    // so nothing is masked.
     const std::size_t quad_size = x_levels * n_groups * quadCount(kk) *
                                   (4 * static_cast<std::size_t>(v));
+    const bool cached = xq_cache.size() == quad_size &&
+                        x_mask.rows() == kk && x_mask.cols() == n_groups;
     std::vector<std::uint8_t> xq_local;
-    const std::uint8_t *xq = nullptr;
-    // The byte size alone cannot distinguish layouts built for a
-    // different v (it is v-independent); the mask width pins it. The
-    // local rebuild also requires a well-shaped mask: hand-built
-    // operands may leave hoMask empty under ActSkipMode::None (the one
-    // mode that never reads it) - then xq stays null and the gather
-    // path runs.
-    const bool mask_ok = x_mask.rows() == kk && x_mask.cols() == n_groups;
-    const bool have_stream = sd.policy != StreamPolicy::Gather &&
-                             streamKernelsRunnable(kern, v);
-    if (have_stream && xq_cache.size() == quad_size && mask_ok) {
-        xq = xq_cache.data();
-    } else if (have_stream && mask_ok) {
-        xq_local = quadSlicePlanes(x, v, &x_mask);
-        xq = xq_local.data();
-    }
+    if (!cached)
+        xq_local = quadSlicePlanes(
+            x, v, cfg.actSkip == ActSkipMode::None ? nullptr : &x_mask);
+    const std::uint8_t *xq = cached ? xq_cache.data() : xq_local.data();
 
     MatrixI64 acc(m, n);
 
@@ -644,11 +548,11 @@ blockedGemm(const SlicedMatrix &w, const MatrixU8 &w_mask,
     // the result is bit-identical for any thread count.
     parallelFor(0, m_groups, [&](std::size_t b, std::size_t e, int) {
         if (v == 4)
-            blockedBand<4>(w, w_mask, w_total, x, r, cfg, kern, sd, xd,
-                           x16, xq, b, e, acc);
+            blockedBand<4>(w, w_mask, w_total, x, r, cfg, kern, sd, xd, xq,
+                           b, e, acc);
         else
-            blockedBand<0>(w, w_mask, w_total, x, r, cfg, kern, sd, xd,
-                           x16, xq, b, e, acc);
+            blockedBand<0>(w, w_mask, w_total, x, r, cfg, kern, sd, xd, xq,
+                           b, e, acc);
     });
     return acc;
 }
@@ -668,7 +572,7 @@ aqsGemm(const WeightOperand &w, const ActivationOperand &x,
 
     MatrixI64 acc = detail::blockedGemm(w.sliced, w.hoMask, w.totalCodes,
                                         x.sliced, x.hoMask, x.r, cfg,
-                                        x.widenedPlanes, x.quadPlanes);
+                                        x.quadPlanes);
     // Statistics depend on the masks and streams alone, never on the
     // schedule that ran: they are counted, not tallied in the band.
     if (stats)
@@ -829,7 +733,6 @@ concatActivationOperands(std::span<const ActivationOperand *const> ops,
     const std::size_t pw = 4 * uv;
 
     std::size_t n_total = 0;
-    bool have_widened = true;
     bool have_quad = true;
     for (const ActivationOperand *op : ops) {
         const std::size_t n_op = op->sliced.cols();
@@ -851,8 +754,6 @@ concatActivationOperands(std::span<const ActivationOperand *const> ops,
                          first.sliced.planes[l].shift,
                      "concat operands disagree on plane shifts");
         n_total += n_op;
-        have_widened =
-            have_widened && op->widenedPlanes.size() == levels * kk * n_op;
         have_quad = have_quad && op->quadPlanes.size() ==
                                      levels * (n_op / uv) * kq * pw;
     }
@@ -902,30 +803,9 @@ concatActivationOperands(std::span<const ActivationOperand *const> ops,
         }
     });
 
-    // Kernel operand caches: concatenable only when every source
-    // carries them (the gate depends on the active ISA level at prep
-    // time, so a mixed set falls back to on-demand rebuild).
-    if (have_widened) {
-        out.widenedPlanes.resize(levels * kk * n_total);
-        for (std::size_t l = 0; l < levels; ++l) {
-            std::int16_t *base = out.widenedPlanes.data() +
-                                 l * kk * n_total;
-            parallelFor(0, kk, [&](std::size_t b, std::size_t e, int) {
-                for (std::size_t k = b; k < e; ++k) {
-                    std::int16_t *dst = base + k * n_total;
-                    std::size_t off = 0;
-                    for (const ActivationOperand *op : ops) {
-                        const std::size_t n_op = op->sliced.cols();
-                        const std::int16_t *src =
-                            op->widenedPlanes.data() + l * kk * n_op +
-                            k * n_op;
-                        std::copy(src, src + n_op, dst + off);
-                        off += n_op;
-                    }
-                }
-            });
-        }
-    }
+    // The quad kernel operand: concatenable only when every source
+    // carries it (hand-built operands may not), else the engine
+    // rebuilds it on demand.
     if (have_quad) {
         // Quad layout is [level][n-group][quad][4v]: per level one
         // contiguous block per source operand.

@@ -82,24 +82,15 @@ struct ActivationOperand
     MatrixU8 hoMask;                ///< K x (N/v), 1 = compressed vector
     std::vector<RleStream> streams; ///< HO plane RLE, one per column band
     /**
-     * int16 copies of the slice planes ([level][k][n], 2 bytes per
-     * activation per level), precomputed by prepareActivations* for the
-     * blocked kernel's 16-bit gather passes. Optional: aqsGemm widens
-     * on the fly when absent (hand-built operands). Invariant: derived
-     * from `sliced` — a caller that mutates `sliced` in place afterwards
-     * must clear() this cache so the kernel re-widens, or the engines
-     * diverge silently.
-     */
-    std::vector<std::int16_t> widenedPlanes;
-    /**
      * u8 step-quad copies of the slice planes, [level][n-group][quad][4v]
      * (1 byte per activation per level, tail steps zero), with
      * compressed HO vectors stored as zero slices (see
-     * detail::quadSlicePlanes): the operand of the streaming passes,
-     * four reduction steps per 32-bit lane. Built only when this host
-     * has a stream kernel for cfg.v and the active policy can stream.
-     * Optional, same invariant as `widenedPlanes`: derived from
-     * `sliced` + `hoMask`; clear() after mutating either, or the
+     * detail::quadSlicePlanes): the operand of every pair pass, four
+     * reduction steps per 32-bit lane. prepareActivations* builds it
+     * whenever the blocked kernel will run (v <= 16, K < 2^22).
+     * Optional: aqsGemm rebuilds it on the fly when absent (hand-built
+     * operands). Invariant: derived from `sliced` + `hoMask` - a caller
+     * that mutates either in place afterwards must clear() it, or the
      * engines diverge silently.
      */
     std::vector<std::uint8_t> quadPlanes;
@@ -214,11 +205,11 @@ namespace detail {
  * by reference - slice planes, the weight HO mask ((M/v) x K), the
  * activation HO mask (K x N/v; may be empty under ActSkipMode::None)
  * and, under ActSkipMode::RValued only, the total weight codes and the
- * skip value r. x16_cache / xq_cache are optional precomputed
- * ActivationOperand::widenedPlanes / quadPlanes of x; missing or
- * mis-sized ones are rebuilt locally. Signed activation planes (the
- * Sibia front end's SBR activations) stream as x + 8 with an exact
- * per-row correction (detail::quadActOffset). Counts nothing.
+ * skip value r. xq_cache is the optional precomputed
+ * ActivationOperand::quadPlanes of x; a missing or mis-sized one is
+ * rebuilt locally. Signed activation planes (the Sibia front end's SBR
+ * activations) are stored as x + 8 with an exact per-row correction
+ * (detail::quadActOffset). Counts nothing.
  *
  * Preconditions: shapes checked (M, N divisible by cfg.v, x.rows() ==
  * w.cols()) and aqsBlockedKernelExact(w.cols(), cfg.v).
@@ -227,7 +218,6 @@ MatrixI64 blockedGemm(const SlicedMatrix &w, const MatrixU8 &w_mask,
                       const MatrixI32 &w_total, const SlicedMatrix &x,
                       const MatrixU8 &x_mask, Slice r,
                       const AqsConfig &cfg,
-                      std::span<const std::int16_t> x16_cache = {},
                       std::span<const std::uint8_t> xq_cache = {});
 
 } // namespace detail
@@ -237,16 +227,16 @@ MatrixI64 blockedGemm(const SlicedMatrix &w, const MatrixU8 &w_mask,
  * axis: the batch-assembly primitive of the serving runtime
  * (src/serve/). Every structure of an ActivationOperand is
  * column-blocked (slice planes, HO mask, per-column-band RLE streams,
- * widened and quad kernel caches), so concatenation is pure block
+ * the quad kernel operand), so concatenation is pure block
  * copies - no re-slicing, no re-encoding - and the result is
  * byte-identical to preparing the concatenated codes directly.
  *
  * Preconditions: all operands prepared by the same layer/configuration
  * (same K, plane count/shifts, skip value r, column counts divisible by
- * cfg.v). The widened/quad kernel caches are concatenated only when
- * every source carries them (they are optional per the
- * ActivationOperand contract); otherwise the result's caches stay
- * empty and the engine rebuilds on demand.
+ * cfg.v). The quad kernel operand is concatenated only when every
+ * source carries it (it is optional per the ActivationOperand
+ * contract); otherwise the result's stays empty and the engine
+ * rebuilds it on demand.
  *
  * Combined with aqsGemm()'s column-slice determinism - each v-wide
  * output column group depends only on its own activation columns - a

@@ -140,21 +140,18 @@ checksumOf(const KernelCostTable &t)
 }
 
 /**
- * Deterministic synthetic operands for one kernel family: a kk-step
- * band with an every-other-step skip list for the gather kernels and
- * s8/u8 quad planes for the stream kernels. Values are seeded
- * (identical on every host) and irrelevant to the integer kernels'
- * timing; only the shapes matter. Streams are timed per quad call but
- * priced per step pair (`pairs` units), the cost model's unit.
+ * Deterministic synthetic operands for one kernel family: s8/u8 quad
+ * planes of a kk-step band and an every-other-quad list. Values are
+ * seeded (identical on every host) and irrelevant to the integer
+ * kernels' timing; only the shapes matter.
  */
 struct SyntheticOperands
 {
-    std::size_t kk = 0, nk = 0, pairs = 0, quads = 0;
+    std::size_t quads = 0;
     int v = 0;
-    std::vector<std::int16_t> wp, xp;
     std::vector<std::int8_t> wq;
     std::vector<std::uint8_t> xq;
-    std::vector<std::uint32_t> ks;
+    std::vector<std::uint32_t> qs;
     std::vector<std::int32_t> pacc;
 };
 
@@ -162,7 +159,7 @@ SyntheticOperands
 makeOperands(int v)
 {
     SyntheticOperands ops;
-    ops.kk = 2048;
+    ops.quads = quadCount(2048);
     ops.v = v;
     const std::size_t uv = static_cast<std::size_t>(v);
     std::mt19937 rng(0x9e3779b9u);
@@ -173,15 +170,10 @@ makeOperands(int v)
             e = static_cast<std::remove_reference_t<decltype(e)>>(
                 dist(rng) + bias);
     };
-    fill(ops.wp, ops.kk * uv, 0);
-    fill(ops.xp, ops.kk * uv, 0); // xp row length n = v, ng_off = 0
-    ops.pairs = pairCount(ops.kk);
-    ops.quads = quadCount(ops.kk);
     fill(ops.wq, ops.quads * 4 * uv, 0);
     fill(ops.xq, ops.quads * 4 * uv, 3); // u8 activations: [0, 6]
-    for (std::size_t k = 0; k < ops.kk; k += 2)
-        ops.ks.push_back(static_cast<std::uint32_t>(k));
-    ops.nk = ops.ks.size();
+    for (std::size_t q = 0; q < ops.quads; q += 2)
+        ops.qs.push_back(static_cast<std::uint32_t>(q));
     ops.pacc.assign(uv * uv, 0);
     return ops;
 }
@@ -216,6 +208,24 @@ psPerUnit(F &&run, std::size_t units)
     return best == 0 ? 1 : best;
 }
 
+/**
+ * Price one family's kernel both ways on the same operands: listed per
+ * step of a listed quad, streamed per step pair (see the header's
+ * units).
+ */
+template <class Kernel>
+void
+measureEntry(KernelCostEntry &e, SyntheticOperands &o, Kernel &&kernel,
+             int &measurements)
+{
+    e.gather_ps_per_step = psPerUnit(
+        [&] { kernel(o.qs.data(), o.qs.size(), false); }, 4 * o.qs.size());
+    e.stream_ps_per_pair = psPerUnit(
+        [&] { kernel(nullptr, o.quads, true); }, 2 * o.quads);
+    e.measured = true;
+    measurements += 2;
+}
+
 void
 measureAll(KernelCostTable &t)
 {
@@ -225,52 +235,20 @@ measureAll(KernelCostTable &t)
     for (int l = 0; l <= static_cast<int>(cap); ++l) {
         const PairPassKernels &kern =
             pairPassKernels(static_cast<IsaLevel>(l));
-        {
-            KernelCostEntry &e =
-                t.entries[l][static_cast<int>(KernelFamily::Pass4)];
-            if (kern.stream4 != nullptr) {
-                SyntheticOperands &o = ops4;
-                e.gather_ps_per_step = psPerUnit(
-                    [&] {
-                        kern.pass4(o.wp.data(), o.xp.data(),
-                                   static_cast<std::size_t>(o.v), 0,
-                                   o.ks.data(), o.nk, false,
-                                   o.pacc.data());
-                    },
-                    o.nk);
-                e.stream_ps_per_pair = psPerUnit(
-                    [&] {
-                        kern.stream4(o.wq.data(), o.xq.data(), o.quads,
-                                     o.pacc.data());
-                    },
-                    o.pairs);
-                e.measured = true;
-                t.measurements += 2;
-            }
-        }
-        {
-            KernelCostEntry &e =
-                t.entries[l][static_cast<int>(KernelFamily::Generic)];
-            if (kern.streamGeneric != nullptr) {
-                SyntheticOperands &o = ops8;
-                e.gather_ps_per_step = psPerUnit(
-                    [&] {
-                        kern.passGeneric(o.wp.data(), o.xp.data(),
-                                         static_cast<std::size_t>(o.v),
-                                         0, o.ks.data(), o.nk, false,
-                                         o.v, o.pacc.data());
-                    },
-                    o.nk);
-                e.stream_ps_per_pair = psPerUnit(
-                    [&] {
-                        kern.streamGeneric(o.wq.data(), o.xq.data(),
-                                           o.quads, o.v, o.pacc.data());
-                    },
-                    o.pairs);
-                e.measured = true;
-                t.measurements += 2;
-            }
-        }
+        measureEntry(
+            t.entries[l][static_cast<int>(KernelFamily::Pass4)], ops4,
+            [&](const std::uint32_t *qs, std::size_t nq, bool identity) {
+                kern.stream4(ops4.wq.data(), ops4.xq.data(), qs, nq,
+                             identity, ops4.pacc.data());
+            },
+            t.measurements);
+        measureEntry(
+            t.entries[l][static_cast<int>(KernelFamily::Generic)], ops8,
+            [&](const std::uint32_t *qs, std::size_t nq, bool identity) {
+                kern.streamGeneric(ops8.wq.data(), ops8.xq.data(), qs, nq,
+                                   identity, ops8.v, ops8.pacc.data());
+            },
+            t.measurements);
     }
 }
 

@@ -1,38 +1,40 @@
 /**
  * @file
- * Per-host measured-cost model for the stream-vs-gather choice inside
+ * Per-host measured-cost model for the stream-vs-list choice inside
  * the bit-slice GEMM engines.
  *
- * The engines can execute a pair pass two ways: GATHER an nk-long skip
- * list of dense reduction steps, or STREAM a masked-dense copy of all
- * kk steps (quadCount(kk) 8-bit step quads, priced as pairCount(kk)
- * step pairs; see core/operand_pack.h). Both sum exactly the same
- * products, so the choice is pure throughput - and the right threshold
- * depends on the host's actual ratio of stream to gather cost, which
- * the historical static rule (stream once 2*nk >= kk) merely guesses
- * at 2:1.
+ * Every pair pass runs one quad kernel (core/pair_pass.h) two ways: as
+ * a LISTED pass over the nq quads of four reduction steps that hold a
+ * dense step (128-bit loads per listed quad), or as the dense STREAM
+ * over all kq = quadCount(kk) quads (one wide contiguous load per
+ * operand). Both sum exactly the same products, so the choice is pure
+ * throughput - and the right threshold depends on the host's actual
+ * ratio of streamed to listed quad cost, which the static rule (stream
+ * once 2*nq >= kq) merely guesses at 2:1.
  *
  * This module microbenchmarks that ratio ONCE per host: per kernel
- * family (fixed v = 4 vs runtime-v) x ISA tier it times the gather
- * kernel per list step and the stream kernel per step pair over seeded
- * synthetic operands, quantizes both to integer picoseconds, and
- * persists the calibration as a small versioned JSON next to the
- * compiled-model cache (PANACEA_CACHE_DIR/kernel_costs.json). Later
- * processes load the file instead of re-measuring; a file with the
- * wrong version, checksum, or ISA coverage is ignored (never an
- * error), and an unusable entry falls back to the static rule - a bad
- * calibration can cost throughput, never correctness.
+ * family (fixed v = 4 vs runtime-v) x ISA tier it times the same
+ * kernel both ways on one set of seeded synthetic operands, quantizes
+ * both to integer picoseconds, and persists the calibration as a
+ * small versioned JSON next to the compiled-model cache
+ * (PANACEA_CACHE_DIR/kernel_costs.json). Units (field names kept from
+ * the skip-list engine): gather_ps_per_step is a listed quad's cost
+ * per step (a quarter of it), stream_ps_per_pair a streamed quad's
+ * cost per step pair (half of it); 50 * stream / gather is the listed
+ * quad share, in percent, above which a pass streams. Later processes
+ * load the file instead of re-measuring; a file with the wrong
+ * version, checksum, or ISA coverage is ignored (never an error), and
+ * an unusable entry falls back to the static rule - a bad calibration
+ * can cost throughput, never correctness.
  *
  * Policy selection (PANACEA_STREAM_POLICY, or setStreamPolicy()):
  *   - "measured" (default): predicted-cost comparison per pass,
- *     stream_ps_per_pair * pairCount(kk) <= gather_ps_per_step * nk.
- *   - "static": the historical 2*nk >= kk rule (kill switch).
- *   - "stream" / "gather": force one mechanism wherever runnable
- *     (tests; also the two ends of the bench density sweep).
- * Every policy's profitable() is monotone nondecreasing in nk, which
- * the masked-HO-operand precondition in packStreamWeightOperands()
- * relies on (a pass list is never longer than the band's full dense
- * list, so "not profitable at wd_size" proves the copy dead).
+ *     2 * stream_ps_per_pair * kq <= 4 * gather_ps_per_step * nq.
+ *   - "static": the fixed 2*nq >= kq rule (kill switch).
+ *   - "stream" / "gather": force the dense stream / the listed pass
+ *     wherever a pass has a list (tests; also the two ends of the
+ *     bench density sweep).
+ * Every policy's profitable() is monotone nondecreasing in nq.
  */
 
 #ifndef PANACEA_CORE_KERNEL_COST_MODEL_H
@@ -47,14 +49,14 @@
 
 namespace panacea {
 
-/** How the engines decide between a masked-dense stream and a
- *  skip-list gather for each pair pass. */
+/** How the engines decide between the dense stream over every quad
+ *  and a listed pass over the quads holding a dense step. */
 enum class StreamPolicy
 {
-    Static = 0,   ///< historical fixed rule: stream once 2*nk >= kk
+    Static = 0,   ///< fixed rule: stream once 2*nq >= kq
     Measured = 1, ///< per-host calibrated cost comparison (default)
-    Stream = 2,   ///< force streaming wherever stream kernels exist
-    Gather = 3,   ///< force gathering (paired operands never built)
+    Stream = 2,   ///< force the dense stream for every pass
+    Gather = 3,   ///< force the listed pass wherever a pass has a list
 };
 
 /** @return printable name ("static", "measured", "stream", "gather"). */
@@ -87,8 +89,8 @@ namespace detail {
 /** The two pair-pass shapes with separate cost behavior. */
 enum class KernelFamily
 {
-    Pass4 = 0,   ///< fixed v = 4 kernels (pass4 / stream4)
-    Generic = 1, ///< runtime-v kernels (passGeneric / streamGeneric)
+    Pass4 = 0,   ///< fixed v = 4 kernels (stream4)
+    Generic = 1, ///< runtime-v kernels (streamGeneric)
 };
 
 inline constexpr std::size_t kKernelFamilyCount = 2;
@@ -100,9 +102,9 @@ struct KernelCostEntry
     /// runnable here, or the loaded file predates it): Measured falls
     /// back to the static rule for it.
     bool measured = false;
-    std::uint64_t gather_ps_per_step = 0; ///< gather cost per list step
-    /// stream cost per step pair (two reduction steps; the kernels run
-    /// whole quads, and a quad costs two pairs)
+    /// listed-pass cost per step of a listed quad (a quarter quad)
+    std::uint64_t gather_ps_per_step = 0;
+    /// dense-stream cost per step pair (half a streamed quad)
     std::uint64_t stream_ps_per_pair = 0;
 };
 
@@ -121,11 +123,12 @@ struct KernelCostTable
 };
 
 /**
- * Current calibration-file format version. 2: streams run on the 8-bit
- * quad layout, so files priced on the int16 paired streams (1) are
- * re-measured, not loaded.
+ * Current calibration-file format version. 3: both sides of the choice
+ * run on the 8-bit quad layout (listed quads vs the dense stream), so
+ * files that priced int16 skip-list gathers (2) or int16 paired
+ * streams (1) are re-measured, not loaded.
  */
-inline constexpr std::uint32_t kKernelCostVersion = 2;
+inline constexpr std::uint32_t kKernelCostVersion = 3;
 
 /**
  * The process-wide calibration, resolved lazily on first use: load
@@ -136,9 +139,9 @@ inline constexpr std::uint32_t kKernelCostVersion = 2;
 const KernelCostTable &kernelCostTable();
 
 /**
- * The stream-vs-gather choice for one GEMM call, resolved ONCE per
- * call (policy + cost-table lookups hoisted out of the per-pass loop)
- * and then consulted per pass via profitable().
+ * The stream-vs-list choice for one GEMM call, resolved ONCE per call
+ * (policy + cost-table lookups hoisted out of the per-pass loop) and
+ * then consulted per pass via profitable().
  */
 struct StreamDecision
 {
@@ -148,24 +151,21 @@ struct StreamDecision
     std::uint64_t stream_ps_per_pair = 0;
 
     /**
-     * Stream (true) or gather (false) a pass whose dense-step list has
-     * nk of the band's kk reduction steps. Monotone nondecreasing in
-     * nk under EVERY policy (see file header). Availability of stream
-     * kernels is the caller's check (streamKernelsRunnable).
+     * Stream all kq quads (true) or list (false) a pass whose list
+     * holds nq of them. Monotone nondecreasing in nq under EVERY policy
+     * (see file header).
      */
     bool
-    profitable(std::size_t nk, std::size_t kk) const
+    profitable(std::size_t nq, std::size_t kq) const
     {
         if (policy == StreamPolicy::Stream)
             return true;
         if (policy == StreamPolicy::Gather)
             return false;
-        if (policy == StreamPolicy::Measured && measured) {
-            const std::uint64_t pairs = (kk + 1) / 2; // pairCount(kk)
-            return stream_ps_per_pair * pairs <=
-                   gather_ps_per_step * static_cast<std::uint64_t>(nk);
-        }
-        return 2 * nk >= kk; // static rule (and Measured's fallback)
+        if (policy == StreamPolicy::Measured && measured)
+            return 2 * stream_ps_per_pair * kq <=
+                   4 * gather_ps_per_step * static_cast<std::uint64_t>(nq);
+        return 2 * nq >= kq; // static rule (and Measured's fallback)
     }
 };
 

@@ -1,10 +1,12 @@
 /**
  * @file
  * Internal operand-preparation helpers of the blocked AQS-GEMM band
- * (which also runs the legacy bit-slice GEMM): per-n-group skip lists
- * derived from an HO compression mask, int16 widening of slice planes
- * into the contiguous [level][k][n] layout the gather passes read, and
- * the 8-bit quad layout the stream passes read (see core/pair_pass.h).
+ * (which also runs the legacy bit-slice GEMM): the 8-bit quad layout
+ * every pair pass reads (s8 weights, u8 activations, four reduction
+ * steps per 32-bit lane; see core/pair_pass.h), dense-step bitsets and
+ * skip lists derived from an HO compression mask, and the quad lists a
+ * pass visits - the quads of four steps that hold at least one dense
+ * step.
  */
 
 #ifndef PANACEA_CORE_OPERAND_PACK_H
@@ -15,7 +17,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/kernel_cost_model.h"
 #include "slicing/slice_tensor.h"
 #include "slicing/slice_types.h"
 #include "util/logging.h"
@@ -25,6 +26,13 @@
 namespace panacea {
 namespace detail {
 
+/** @return step quads covering kk reduction steps (the tail pads). */
+inline std::size_t
+quadCount(std::size_t kk)
+{
+    return (kk + 3) / 4;
+}
+
 /** @return 64-bit words of a dense-step bitset over kk steps. */
 inline std::size_t
 bitsetWords(std::size_t kk)
@@ -33,57 +41,70 @@ bitsetWords(std::size_t kk)
 }
 
 /**
- * Write the set-bit positions of words[0..n_words) to `out` in
- * ascending order (bit b of word i is step 64*i + b). `word(i)` yields
- * word i, so an intersection list is written straight from the ANDed
- * words without materializing them. @return the number of positions.
+ * Fold a dense-step word onto its quads: bit 4b of the result is set
+ * iff any of steps 4b..4b+3 is (a quad never straddles a word).
  */
-template <typename WordFn>
-inline std::size_t
-bitsetToList(std::size_t n_words, WordFn word, std::uint32_t *out)
+inline std::uint64_t
+quadLeadBits(std::uint64_t word)
 {
-    std::size_t count = 0;
-    for (std::size_t i = 0; i < n_words; ++i) {
-        for (std::uint64_t bits = word(i); bits != 0; bits &= bits - 1)
-            out[count++] = static_cast<std::uint32_t>(
-                i * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
-    }
-    return count;
+    word |= word >> 1;
+    word |= word >> 2;
+    return word & 0x1111111111111111ull;
 }
 
-/** @return popcount(a[i] & b[i]) summed over n_words words. */
+/** @return quads holding a set bit of words[0..n_words) (word(i) yields
+ *  word i, so an intersection is counted without materializing it). */
+template <typename WordFn>
 inline std::size_t
-bitsetAndCount(const std::uint64_t *a, const std::uint64_t *b,
-               std::size_t n_words)
+quadCountOf(std::size_t n_words, WordFn word)
 {
     std::size_t count = 0;
     for (std::size_t i = 0; i < n_words; ++i)
-        count += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
+        count += static_cast<std::size_t>(
+            std::popcount(quadLeadBits(word(i))));
+    return count;
+}
+
+/**
+ * Write the quads holding a set bit of words[0..n_words) to `out` in
+ * ascending order (bit b of word i is step 64*i + b, quad (64*i + b)/4),
+ * by count-trailing-zeros over the folded words. @return the count.
+ */
+template <typename WordFn>
+inline std::size_t
+quadListOf(std::size_t n_words, WordFn word, std::uint32_t *out)
+{
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < n_words; ++i) {
+        for (std::uint64_t bits = quadLeadBits(word(i)); bits != 0;
+             bits &= bits - 1)
+            out[count++] = static_cast<std::uint32_t>(
+                (i * 64 + static_cast<std::size_t>(std::countr_zero(bits))) >>
+                2);
+    }
     return count;
 }
 
 /**
  * Dense-step bitset of one weight band's HO mask row (bit k set iff
- * row[k] == 0; bits past kk stay clear), built branch-free, and the
- * band's dense-step list written from it. `bits` holds
- * bitsetWords(kk) words, `list` room for kk entries.
- * @return the list length.
+ * row[k] == 0; bits past kk stay clear), built branch-free into
+ * bitsetWords(kk) words. @return the number of dense steps.
  */
 inline std::size_t
 denseStepsOfRow(const std::uint8_t *row, std::size_t kk,
-                std::uint64_t *bits, std::uint32_t *list)
+                std::uint64_t *bits)
 {
-    const std::size_t n_words = bitsetWords(kk);
-    for (std::size_t i = 0; i < n_words; ++i) {
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < bitsetWords(kk); ++i) {
         const std::size_t k0 = i * 64;
         const std::size_t len = std::min<std::size_t>(64, kk - k0);
         std::uint64_t word = 0;
         for (std::size_t b = 0; b < len; ++b)
             word |= static_cast<std::uint64_t>(row[k0 + b] == 0) << b;
         bits[i] = word;
+        count += static_cast<std::size_t>(std::popcount(word));
     }
-    return bitsetToList(n_words, [bits](std::size_t i) { return bits[i]; },
-                        list);
+    return count;
 }
 
 /**
@@ -93,12 +114,12 @@ denseStepsOfRow(const std::uint8_t *row, std::size_t kk,
  * short-circuits the indirection when no skipping is active.
  *
  * The same dense steps also come as one 64-bit-word bitset per n-group
- * (bit k of bits[ng * words + k / 64], bits past kk clear). A band ANDs
- * it with its weight row's bitset (denseStepsOfRow) to get the HO_w x
- * HO_x intersection word-parallel: its length is a popcount, and the
- * list, when a gather pass needs it, is written in ascending k by
- * count-trailing-zeros (bitsetToList) - the same list a merge of the
- * two skip lists would produce.
+ * (bit k of bits[ng * words + k / 64], bits past kk clear), and as the
+ * list of quads that hold one (qks, the activation-side pass list). A
+ * band ANDs the bitset with its weight row's (denseStepsOfRow) to get
+ * the HO_w x HO_x intersection word-parallel: its quad count is a
+ * popcount, and its quad list, when a listed pass reads it, is written
+ * by count-trailing-zeros (quadListOf).
  */
 struct SkipLists
 {
@@ -112,6 +133,9 @@ struct SkipLists
     /// Dense-step bitsets, `words` = bitsetWords(kk) per n-group.
     std::size_t words = 0;
     std::vector<std::uint64_t> bits;
+    /// Quads holding a dense step, per n-group.
+    std::vector<std::uint32_t> qoffsets;
+    std::vector<std::uint32_t> qks;
 
     std::size_t
     count(std::size_t ng) const
@@ -138,12 +162,23 @@ struct SkipLists
     {
         return bits.data() + ng * words;
     }
+    std::size_t
+    qcount(std::size_t ng) const
+    {
+        return qoffsets[ng + 1] - qoffsets[ng];
+    }
+    const std::uint32_t *
+    qlist(std::size_t ng) const
+    {
+        return qks.data() + qoffsets[ng];
+    }
 };
 
 /**
  * Build skip lists from a K x (N/v) compression mask: list ng holds the
  * k with mask(k, ng) == 0, in increasing order (complement list: the
- * k with mask(k, ng) != 0), and bitset ng has exactly those k set.
+ * k with mask(k, ng) != 0), bitset ng has exactly those k set, and
+ * quad list ng the quads of four steps holding one of them.
  */
 inline SkipLists
 buildSkipLists(const MatrixU8 &mask)
@@ -169,28 +204,20 @@ buildSkipLists(const MatrixU8 &mask)
         out.offsets[ng + 1] = static_cast<std::uint32_t>(out.ks.size());
         out.coffsets[ng + 1] = static_cast<std::uint32_t>(out.cks.size());
     }
+    out.qoffsets.resize(n_groups + 1, 0);
+    out.qks.resize(n_groups * quadCount(kk));
+    std::size_t nq = 0;
+    for (std::size_t ng = 0; ng < n_groups; ++ng) {
+        const std::uint64_t *bits = out.bitset(ng);
+        nq += quadListOf(out.words, [bits](std::size_t i) { return bits[i]; },
+                         out.qks.data() + nq);
+        out.qoffsets[ng + 1] = static_cast<std::uint32_t>(nq);
+    }
+    out.qks.resize(nq);
     return out;
 }
 
-/**
- * @return step pairs covering kk reduction steps (odd kk pads one): the
- * unit the cost model prices streams in (stream_ps_per_pair; see
- * core/kernel_cost_model.h), two reduction steps each.
- */
-inline std::size_t
-pairCount(std::size_t kk)
-{
-    return (kk + 1) / 2;
-}
-
-/** @return step quads covering kk reduction steps (the tail pads). */
-inline std::size_t
-quadCount(std::size_t kk)
-{
-    return (kk + 3) / 4;
-}
-
-/// Slice bounds the quad stream kernels rely on (core/pair_pass.h):
+/// Slice bounds the quad kernels rely on (core/pair_pass.h):
 /// weight slices |w| <= 8 (stored s8), activation slices
 /// 0 <= x <= 63 (stored u8).
 inline constexpr int kQuadWeightAbsMax = 8;
@@ -228,8 +255,8 @@ checkQuadSliceRange(const SlicedMatrix &m, int offset, int lo, int hi,
 }
 
 /**
- * 8-bit quad copies of a matrix's activation slice planes for the
- * streaming passes (PairStream4Fn in core/pair_pass.h), blocked per
+ * 8-bit quad copies of a matrix's activation slice planes, the
+ * activation operand of every pair pass (core/pair_pass.h), blocked per
  * column group so a pass reads one contiguous run:
  *
  *   out[((l * n_groups + ng) * kq + q) * 4v + 4j + s]
@@ -237,11 +264,11 @@ checkQuadSliceRange(const SlicedMatrix &m, int offset, int lo, int hi,
  *
  * with kq = quadCount(kk); tail steps past kk stay zero. When `ho_mask`
  * (K x N/v, 1 = compressed) is non-null, the HO plane's compressed
- * vectors are stored as zero slices (the offset alone), so a dense
- * stream over the masked plane sums exactly the skip list's dense
- * steps. Parallel over column groups; chunks write disjoint blocks of
- * the pre-sized output, so the result is byte-identical for any thread
- * count.
+ * vectors are stored as zero slices (the offset alone), so a pass over
+ * any superset of the dense steps' quads sums exactly the skip list's
+ * dense steps. Parallel over column groups; chunks write disjoint
+ * blocks of the pre-sized output, so the result is byte-identical for
+ * any thread count.
  */
 inline std::vector<std::uint8_t>
 quadSlicePlanes(const SlicedMatrix &sliced, int v, const MatrixU8 *ho_mask)
@@ -309,29 +336,8 @@ packWeightBandQuad(const SlicedMatrix &w, std::size_t mg, int v,
 }
 
 /**
- * Masked copy of one quad band plane (kq * 4v bytes): steps with
- * mask_row[k] != 0 are zeroed, so a dense stream over the copy sums
- * exactly the dense-step list of this band.
- */
-inline void
-maskBandPlaneQuad(const std::int8_t *src, const std::uint8_t *mask_row,
-                  std::size_t kk, int v, std::vector<std::int8_t> &out)
-{
-    const std::size_t uv = static_cast<std::size_t>(v);
-    const std::size_t pw = 4 * uv;
-    out.assign(quadCount(kk) * pw, 0);
-    for (std::size_t k = 0; k < kk; ++k) {
-        if (mask_row[k] != 0)
-            continue;
-        const std::size_t base = (k >> 2) * pw + (k & 3);
-        for (std::size_t i = 0; i < uv; ++i)
-            out[base + 4 * i] = src[base + 4 * i];
-    }
-}
-
-/**
  * Per-row sums of one quad band plane (kq * 4v bytes): sums[i] is the
- * sum over every step of row i. A stream over offset activations
+ * sum over every step of row i. A pass over offset activations
  * (quadActOffset) overcounts row i by offset * sums[i].
  */
 inline void
@@ -347,62 +353,6 @@ quadRowSums(const std::int8_t *plane, std::size_t kq, int v,
                 sum += plane[q * pw + 4 * i + s];
         sums[i] = sum;
     }
-}
-
-/**
- * Pack one band's quad-stream weight operands: the unmasked pack
- * always, and the masked HO copy only when a streamed HO_w pass could
- * actually read it - the band's dense-step list (length wd_size) must
- * be incomplete AND clear the stream decision's profitable()
- * threshold; every HO_w pass's list is at most wd_size long and
- * profitable() is monotone nondecreasing in the list length under
- * every policy (see core/kernel_cost_model.h), so below the threshold
- * the copy is provably dead (and left empty). The band routes its
- * GEMM-call decision through here, so the precondition and the
- * per-pass choice can never use different policies.
- */
-inline void
-packStreamWeightOperands(const SlicedMatrix &w, std::size_t mg, int v,
-                         const std::uint8_t *ho_mask_row,
-                         std::size_t wd_size,
-                         const StreamDecision &decision,
-                         std::vector<std::int8_t> &wq,
-                         std::vector<std::int8_t> &wqm)
-{
-    packWeightBandQuad(w, mg, v, wq);
-    const std::size_t kk = w.cols();
-    wqm.clear();
-    if (wd_size != kk && decision.profitable(wd_size, kk)) {
-        const std::size_t ho_off =
-            (w.levels() - 1) * quadCount(kk) * 4 *
-            static_cast<std::size_t>(v);
-        maskBandPlaneQuad(wq.data() + ho_off, ho_mask_row, kk, v, wqm);
-    }
-}
-
-/**
- * Widened (int16) copies of a matrix's slice planes, [level][k][n]: the
- * operand format of the pair passes' 16-bit multiplies. Parallel over
- * rows; every chunk writes disjoint elements of the pre-sized output,
- * so the result is byte-identical for any thread count.
- */
-inline std::vector<std::int16_t>
-widenSlicePlanes(const SlicedMatrix &sliced)
-{
-    const std::size_t kk = sliced.rows();
-    const std::size_t n = sliced.cols();
-    const std::size_t levels = sliced.levels();
-    std::vector<std::int16_t> out(levels * kk * n);
-    for (std::size_t xl = 0; xl < levels; ++xl) {
-        const Slice *src = sliced.planes[xl].data.data().data();
-        std::int16_t *dst = out.data() + xl * kk * n;
-        parallelFor(0, kk, [&](std::size_t b, std::size_t e, int) {
-            for (std::size_t k = b; k < e; ++k)
-                for (std::size_t j = 0; j < n; ++j)
-                    dst[k * n + j] = src[k * n + j];
-        });
-    }
-    return out;
 }
 
 } // namespace detail

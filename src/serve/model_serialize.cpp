@@ -492,6 +492,48 @@ validateLayerShapes(const WeightOperand &op, const AqsPipelineOptions &opts,
                 "shape");
 }
 
+/**
+ * Bulk-byte checks, in one pass over the plane bytes: every weight
+ * slice and RLE payload lies in SBR's [-8, 7] (the quad kernels'
+ * |w| <= 8 precondition), and the HO mask marks only all-zero HO
+ * vectors - the band lists a compressed vector's quads away, so a
+ * nonzero one would make listed and streamed passes disagree.
+ * Preconditions: validateLayerShapes passed.
+ */
+void
+validateWeightBytes(const WeightOperand &op, int v)
+{
+    const auto out_of_range = [](Slice s) {
+        return s < signedSliceMin || s > signedSliceMax;
+    };
+    const std::size_t levels = op.sliced.levels();
+    const std::size_t uv = static_cast<std::size_t>(v);
+    for (std::size_t l = 0; l < levels; ++l) {
+        const Matrix<Slice> &plane = op.sliced.planes[l].data;
+        const bool ho = l + 1 == levels;
+        for (std::size_t row = 0; row < plane.rows(); ++row) {
+            const Slice *src = plane.row(row).data();
+            const std::uint8_t *mask = op.hoMask.row(row / uv).data();
+            for (std::size_t k = 0; k < plane.cols(); ++k) {
+                if (out_of_range(src[k]))
+                    throw SerializeError(
+                        "compiled model weight slice " +
+                        std::to_string(src[k]) + " outside [-8, 7]");
+                if (ho && src[k] != 0 && mask[k] != 0)
+                    throw SerializeError(
+                        "compiled model HO mask compresses a nonzero "
+                        "weight vector");
+            }
+        }
+    }
+    for (const RleStream &s : op.streams)
+        for (Slice p : s.payloads())
+            if (out_of_range(p))
+                throw SerializeError("compiled model RLE payload slice " +
+                                     std::to_string(p) +
+                                     " outside [-8, 7]");
+}
+
 /** Shared model-level decode head: key/spec/options + fingerprint. */
 struct ModelHead
 {
@@ -1053,6 +1095,7 @@ decodeSections(const std::byte *data, std::size_t size,
             p_at += p_len;
         }
         validateLayerShapes(op, opts, bias_len);
+        validateWeightBytes(op, opts.gemm.v);
         // Served layers fold no float bias, so each entry is -zp times
         // a row sum of K weight codes. Anything larger is not a built
         // value, and could overflow the int64 accumulator it is added

@@ -1,9 +1,10 @@
 /**
  * @file
- * Tests for the per-host measured-cost stream/gather dispatch
+ * Tests for the per-host measured-cost stream/list dispatch
  * (core/kernel_cost_model.h): every forced policy is bit-identical on
- * both GEMM engines (the policy may move work between the stream and
- * gather mechanisms, never change a bit of results or statistics); the
+ * both GEMM engines (the policy may move work between the dense stream
+ * and listed quad passes, never change a bit of results or
+ * statistics); the
  * calibration file round-trips exactly and is rejected - silently, by
  * falling back to re-measurement, never by throwing - on version,
  * checksum, or ISA-coverage mismatch; and a poisoned calibration (cost
@@ -192,19 +193,20 @@ TEST(CostModel, ForcedDecisionsAndStaticRule)
 
 TEST(CostModel, ProfitabilityIsMonotoneInListLength)
 {
-    // The packStreamWeightOperands() precondition proof needs every
-    // policy's profitable() nondecreasing in nk at fixed kk.
+    // Every policy's profitable() is nondecreasing in the listed quad
+    // count nq at fixed kq: a longer list never flips a stream back to
+    // a listed pass.
     detail::StreamDecision d;
     d.policy = StreamPolicy::Measured;
     d.measured = true;
     d.gather_ps_per_step = 7;
     d.stream_ps_per_pair = 13;
-    const std::size_t kk = 1024;
+    const std::size_t kq = 1024;
     bool prev = false;
-    for (std::size_t nk = 0; nk <= kk; ++nk) {
-        const bool cur = d.profitable(nk, kk);
+    for (std::size_t nq = 0; nq <= kq; ++nq) {
+        const bool cur = d.profitable(nq, kq);
         EXPECT_TRUE(cur || !prev)
-            << "profitable() dropped from true to false at nk=" << nk;
+            << "profitable() dropped from true to false at nq=" << nq;
         prev = cur;
     }
 }
@@ -383,8 +385,8 @@ TEST(CostModel, CorruptCalibrationFileFallsBackToMeasuring)
 
 TEST(CostModel, PreviousVersionCalibrationIsRemeasured)
 {
-    // A file priced on the previous stream layout (version
-    // kKernelCostVersion - 1: the int16 paired streams) is valid and
+    // A file priced on the previous kernels (version
+    // kKernelCostVersion - 1: int16 skip-list gathers) is valid and
     // checksummed, yet must be ignored and re-measured, and the fresh
     // calibration must replace it on disk.
     CostDirGuard dir_guard("panacea_cost_model_old_version");
@@ -403,10 +405,10 @@ TEST(CostModel, PreviousVersionCalibrationIsRemeasured)
 
 TEST(CostModel, PoisonedCalibrationStillBitCorrect)
 {
-    // Wildly wrong costs may flip every stream/gather choice; they must
+    // Wildly wrong costs may flip every stream/list choice; they must
     // never change a bit of output. Poison both directions: stream
-    // 1000x too expensive (all passes gather) and gather 1000x too
-    // expensive (all runnable passes stream).
+    // 1000x too expensive (every pass with a list runs listed) and
+    // listed quads 1000x too expensive (every pass streams).
     PoolGuard pool_guard;
     PolicyGuard policy_guard;
     setStreamPolicy(StreamPolicy::Measured);

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "core/pair_pass.h"
 #include "isa_guard.h"
 #include "util/cpu_features.h"
@@ -56,33 +59,63 @@ TEST(CpuFeatures, ScalarOverrideAlwaysHonored)
 
 TEST(CpuFeatures, DispatchTableRowsAreFullyPopulated)
 {
+    // Every row, scalar included, carries both quad slots.
     for (IsaLevel lvl : {IsaLevel::Scalar, IsaLevel::Sse2, IsaLevel::Avx2,
                          IsaLevel::Avx512, IsaLevel::Avx512Vnni}) {
         const detail::PairPassKernels &kern = detail::pairPassKernels(lvl);
-        EXPECT_NE(kern.pass4, nullptr);
-        EXPECT_NE(kern.passGeneric, nullptr);
+        EXPECT_NE(kern.stream4, nullptr);
+        EXPECT_NE(kern.streamGeneric, nullptr);
         // The row handed back must itself be runnable on this host.
         EXPECT_LE(kern.level, detectedIsaLevel());
         EXPECT_LE(kern.level, compiledIsaLevel());
     }
-    // The scalar row never carries SIMD entry points.
-    EXPECT_EQ(detail::pairPassKernels(IsaLevel::Scalar).stream4, nullptr);
 }
 
-TEST(CpuFeatures, StreamRunnablePredicateMatchesTableSlots)
+TEST(CpuFeatures, EveryRowRunsBothSlotsLikeTheScalarRow)
 {
-    // The shared predicate (the ONE gate for both the prep-time paired
-    // precompute and the engines' stream_ok) must track the row's
-    // slots exactly: v = 4 follows stream4, 4 < v <= 16 follows
-    // streamGeneric, v > 16 never streams (scalar-band fallback).
-    for (IsaLevel lvl : {IsaLevel::Scalar, IsaLevel::Sse2, IsaLevel::Avx2,
-                         IsaLevel::Avx512, IsaLevel::Avx512Vnni}) {
-        const detail::PairPassKernels &kern = detail::pairPassKernels(lvl);
-        EXPECT_EQ(detail::streamKernelsRunnable(kern, 4),
-                  kern.stream4 != nullptr);
-        EXPECT_EQ(detail::streamKernelsRunnable(kern, 8),
-                  kern.streamGeneric != nullptr);
-        EXPECT_FALSE(detail::streamKernelsRunnable(kern, 20));
+    // Each row's v = 4 and generic slots, streamed and listed (empty,
+    // tail-only, scattered and full lists), against the scalar row on
+    // the same quads. Slices sit at the bounds the kernels assume.
+    const std::size_t kq = 7; // odd, and not a multiple of 4
+    const std::vector<std::vector<std::uint32_t>> lists = {
+        {}, {6}, {0, 2, 3, 6}, {0, 1, 2, 3, 4, 5, 6}};
+    const detail::PairPassKernels &scalar =
+        detail::pairPassKernels(IsaLevel::Scalar);
+    for (int v : {4, 5, 8, 16}) {
+        const std::size_t bytes = kq * 4 * static_cast<std::size_t>(v);
+        std::vector<std::int8_t> wq(bytes);
+        std::vector<std::uint8_t> xq(bytes);
+        for (std::size_t b = 0; b < bytes; ++b) {
+            wq[b] = static_cast<std::int8_t>(static_cast<int>(b * 7 % 17) - 8);
+            xq[b] = static_cast<std::uint8_t>(b * 13 % 64);
+        }
+        for (IsaLevel lvl :
+             {IsaLevel::Scalar, IsaLevel::Sse2, IsaLevel::Avx2,
+              IsaLevel::Avx512, IsaLevel::Avx512Vnni}) {
+            const detail::PairPassKernels &kern =
+                detail::pairPassKernels(lvl);
+            for (std::size_t li = 0; li <= lists.size(); ++li) {
+                const bool identity = li == lists.size();
+                const std::uint32_t *qs =
+                    identity ? nullptr : lists[li].data();
+                const std::size_t nq = identity ? kq : lists[li].size();
+                std::vector<std::int32_t> want(
+                    static_cast<std::size_t>(v * v), -1);
+                std::vector<std::int32_t> got(want.size(), -1);
+                scalar.streamGeneric(wq.data(), xq.data(), qs, nq,
+                                     identity, v, want.data());
+                if (v == 4)
+                    kern.stream4(wq.data(), xq.data(), qs, nq, identity,
+                                 got.data());
+                else
+                    kern.streamGeneric(wq.data(), xq.data(), qs, nq,
+                                       identity, v, got.data());
+                EXPECT_EQ(got, want)
+                    << "isa=" << toString(kern.level) << " v=" << v
+                    << " list=" << (identity ? "stream" : "listed")
+                    << " nq=" << nq;
+            }
+        }
     }
 }
 

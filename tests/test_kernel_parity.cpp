@@ -13,8 +13,9 @@
  * straddle the kernels' 64-bit dense-step bitset words, under forced
  * stream, forced gather and measured dispatch, and the exactness-guard
  * boundaries (K, v) that route aqsGemm to the reference are pinned too,
- * and so are worst-case slice products at K = 2^22 - 1, the limit of
- * the int32 lanes and the stream kernels' int16 pair sums.
+ * and so are worst-case slice products at K = 2^22 - 1, streamed and
+ * listed, the limit of the int32 lanes and the quad kernels' int16
+ * pair sums.
  * The Sibia front end (legacyBitsliceGemm), which runs on the same band,
  * rides along those loops against the dense intGemm.
  */
@@ -281,8 +282,8 @@ TEST(KernelParity, NonDefaultVectorLengthMatchesReference)
 TEST(KernelParity, DensityExtremesMatchReferenceAcrossIsaLevels)
 {
     // Near-fully-compressible and fully-dense operands steer the
-    // AVX2+ kernels through the streaming and gather paths
-    // respectively; both must match the reference bit-for-bit.
+    // kernels through the listed and streaming paths respectively;
+    // both must match the reference bit-for-bit.
     PoolGuard guard;
     IsaGuard isa_guard;
     Rng rng(1001);
@@ -318,12 +319,11 @@ TEST(KernelParity, DensityExtremesMatchReferenceAcrossIsaLevels)
 
 TEST(KernelParity, VnniKernelsMatchReferenceBitForBit)
 {
-    // Explicit VNNI axis: vpdpwssd (gathers) and vpdpbusd (quad
-    // streams) wrap mod 2^32 exactly like the madd+add chains they
-    // fuse, so the VNNI tier must be bit-identical -
-    // accumulator AND stats - on both engines, across the stream
-    // (pass4 + streamGeneric) and gather paths. Skip, not fail, when
-    // the host or toolchain lacks AVX512-VNNI.
+    // Explicit VNNI axis: vpdpbusd wraps mod 2^32 exactly like the
+    // maddubs+madd+add chain it fuses, so the VNNI tier must be
+    // bit-identical - accumulator AND stats - on both engines, across
+    // the streamed and listed paths (stream4 + streamGeneric). Skip,
+    // not fail, when the host or toolchain lacks AVX512-VNNI.
     if (supportedIsaCap() < IsaLevel::Avx512Vnni)
         GTEST_SKIP() << "host/toolchain cap is "
                      << toString(supportedIsaCap())
@@ -338,7 +338,7 @@ TEST(KernelParity, VnniKernelsMatchReferenceBitForBit)
     MatrixI32 w_codes = randomWeightCodes(rng, m, kk, 1);
 
     for (int v : {4, 8}) {             // stream4 vs streamGeneric
-        for (double cluster : {0.1, 0.9}) { // gather- vs stream-heavy
+        for (double cluster : {0.1, 0.9}) { // list- vs stream-heavy
             AqsConfig cfg;
             cfg.v = v;
             MatrixI32 x_codes =
@@ -436,7 +436,7 @@ TEST(KernelParity, OversizedVectorLengthFallsBackCorrectly)
     }
 }
 
-TEST(KernelParity, HandBuiltOperandWithoutWidenedPlanesStillWorks)
+TEST(KernelParity, HandBuiltOperandWithoutQuadPlanesStillWorks)
 {
     Rng rng(909);
     const std::size_t m = 16, kk = 8, n = 12;
@@ -447,17 +447,17 @@ TEST(KernelParity, HandBuiltOperandWithoutWidenedPlanesStillWorks)
     ActivationOperand x = prepareActivations(x_codes, 1, 50, cfg);
     MatrixI64 ref = aqsGemmReference(w, x, cfg);
 
-    // Simulate an operand assembled by hand (no precomputed int16
-    // planes): the kernel must widen on the fly.
-    x.widenedPlanes.clear();
+    // Simulate an operand assembled by hand (no precomputed quad
+    // planes): the kernel must build them on the fly.
+    x.quadPlanes.clear();
     EXPECT_TRUE(aqsGemm(w, x, cfg) == ref);
 }
 
 TEST(KernelParity, HandBuiltOperandWithoutMaskRunsUnderNoneMode)
 {
     // Under ActSkipMode::None the HO mask is never consulted, so a
-    // hand-built operand may leave it (and every cache) empty; the
-    // kernel must fall back to gather passes rather than touch the
+    // hand-built operand may leave it (and the quad planes) empty; the
+    // kernel must build its quad operand unmasked rather than touch the
     // absent mask.
     Rng rng(1203);
     const std::size_t m = 16, kk = 8, n = 12;
@@ -576,25 +576,36 @@ TEST(KernelParity, LegacyGemmDeterministicAcrossThreads)
 TEST(KernelParity, LegacyGemmBothSkipSidesMatchDenseAcrossIsaLevels)
 {
     // Weight-side and activation-side skipping drive different masked
-    // stream operands in the legacy kernel; both must stay exact.
+    // quad operands in the legacy kernel; both must stay exact. Its SBR
+    // activations are signed (stored as x + 8), so activation-side
+    // skipping runs its passes unlisted, weight-side skipping listed.
     PoolGuard guard;
     IsaGuard isa_guard;
+    PolicyGuard policy_guard;
     Rng rng(1102);
-    const std::size_t m = 16, kk = 24, n = 16;
-    MatrixI32 w_codes = randomWeightCodes(rng, m, kk, 1, 0.7);
-    MatrixI32 x_codes = randomWeightCodes(rng, kk, n, 1, 0.7);
-    SlicedMatrix ws = sbrSliceMatrix(w_codes, 1);
-    SlicedMatrix xs = sbrSliceMatrix(x_codes, 1);
-    MatrixI64 dense = intGemm(w_codes, x_codes);
+    const std::size_t m = 16, n = 16;
+    for (std::size_t kk : {24u, 25u, 26u, 27u}) { // K mod 4 = 0..3
+        MatrixI32 w_codes = randomWeightCodes(rng, m, kk, 1, 0.7);
+        MatrixI32 x_codes = randomWeightCodes(rng, kk, n, 1, 0.7);
+        SlicedMatrix ws = sbrSliceMatrix(w_codes, 1);
+        SlicedMatrix xs = sbrSliceMatrix(x_codes, 1);
+        MatrixI64 dense = intGemm(w_codes, x_codes);
 
-    for (SibiaSkipSide side :
-         {SibiaSkipSide::Weight, SibiaSkipSide::Activation}) {
-        for (IsaLevel isa : runnableIsaLevels()) {
-            setIsaLevel(isa);
-            MatrixI64 got = legacyBitsliceGemm(ws, xs, 4, side);
-            EXPECT_TRUE(got == dense)
-                << "side=" << static_cast<int>(side)
-                << " isa=" << toString(isa);
+        for (SibiaSkipSide side :
+             {SibiaSkipSide::Weight, SibiaSkipSide::Activation}) {
+            for (StreamPolicy policy :
+                 {StreamPolicy::Stream, StreamPolicy::Gather,
+                  StreamPolicy::Measured}) {
+                setStreamPolicy(policy);
+                for (IsaLevel isa : runnableIsaLevels()) {
+                    setIsaLevel(isa);
+                    MatrixI64 got = legacyBitsliceGemm(ws, xs, 4, side);
+                    EXPECT_TRUE(got == dense)
+                        << "kk=" << kk << " side=" << static_cast<int>(side)
+                        << " policy=" << toString(policy)
+                        << " isa=" << toString(isa);
+                }
+            }
         }
     }
 }
@@ -606,6 +617,8 @@ enum class MaskKind
     AllCompressed,
     WeightOnly, ///< every weight HO vector compressed, no activation one
     ActOnly,    ///< every activation HO vector compressed, no weight one
+    TailOnly,   ///< only step kk-1 dense: every list is the tail quad
+    OnePerQuad, ///< step 4q dense: full quad lists over sparse steps
     Random,
 };
 
@@ -617,56 +630,78 @@ maskKindName(MaskKind kind)
       case MaskKind::AllCompressed: return "all-compressed";
       case MaskKind::WeightOnly:    return "weight-only";
       case MaskKind::ActOnly:       return "act-only";
+      case MaskKind::TailOnly:      return "tail-only";
+      case MaskKind::OnePerQuad:    return "one-per-quad";
       case MaskKind::Random:        return "random";
     }
     return "?";
 }
 
+/** Whether a (non-random) word-boundary case leaves step k of a kk-step
+ *  reduction dense on the weight or the activation side. */
+bool
+denseAt(MaskKind kind, bool weight_side, std::size_t k, std::size_t kk)
+{
+    switch (kind) {
+      case MaskKind::AllCompressed: return false;
+      case MaskKind::WeightOnly:    return !weight_side;
+      case MaskKind::ActOnly:       return weight_side;
+      case MaskKind::TailOnly:      return k + 1 == kk;
+      case MaskKind::OnePerQuad:    return k % 4 == 0;
+      default:                      return true;
+    }
+}
+
 /** 7-bit SBR (n = 1) weight codes whose HO slices are all zero
- *  (compressed, [-8, 7]) or all nonzero (|code| >= 16). */
+ *  (compressed, [-8, 7]) at the steps `kind` compresses on the weight
+ *  side and all nonzero (|code| >= 16) at the others. */
 MatrixI32
 uniformHoWeightCodes(Rng &rng, std::size_t m, std::size_t k,
-                     bool compressed)
+                     MaskKind kind)
 {
     MatrixI32 codes(m, k);
-    for (auto &c : codes.data()) {
-        if (compressed)
-            c = static_cast<std::int32_t>(rng.uniformInt(-8, 7));
-        else
-            c = static_cast<std::int32_t>(
-                rng.bernoulli(0.5) ? rng.uniformInt(16, 63)
-                                   : rng.uniformInt(-64, -24));
-    }
+    for (std::size_t row = 0; row < m; ++row)
+        for (std::size_t col = 0; col < k; ++col)
+            codes(row, col) = static_cast<std::int32_t>(
+                !denseAt(kind, true, col, k) ? rng.uniformInt(-8, 7)
+                : rng.bernoulli(0.5)         ? rng.uniformInt(16, 63)
+                                             : rng.uniformInt(-64, -24));
     return codes;
 }
 
-/** 8-bit activation codes whose HO nibble is r = zp >> 4 everywhere
- *  (compressed) or nowhere (dense). */
+/** 8-bit activation codes whose HO nibble is r = zp >> 4 (compressed)
+ *  exactly at the steps `kind` compresses on the activation side. */
 MatrixI32
 uniformHoActivationCodes(Rng &rng, std::size_t k, std::size_t n,
-                         std::int32_t zp, bool compressed)
+                         std::int32_t zp, MaskKind kind)
 {
     const std::int32_t r = (zp >> 4) & 0xF;
-    const std::int32_t ho = compressed ? r : (r + 8) % 16;
     MatrixI32 codes(k, n);
-    for (auto &c : codes.data())
-        c = ho * 16 + static_cast<std::int32_t>(rng.uniformInt(0, 15));
+    for (std::size_t row = 0; row < k; ++row) {
+        const std::int32_t ho =
+            denseAt(kind, false, row, k) ? (r + 8) % 16 : r;
+        for (std::size_t col = 0; col < n; ++col)
+            codes(row, col) =
+                ho * 16 + static_cast<std::int32_t>(rng.uniformInt(0, 15));
+    }
     return codes;
 }
 
 TEST(KernelParity, BitsetWordBoundariesMatchReference)
 {
     // Reduction lengths on both sides of 64-bit word edges (and one
-    // several words long) so the dense-step bitsets' tail words, full
-    // words and multi-word intersections all run, for every mask
-    // shape, dispatch policy, ISA level and pool width.
+    // several words long, K = 1, 2 and 3 mod 4 among them) so the
+    // dense-step bitsets' tail words, full words, multi-word
+    // intersections and partial tail quads all run, for every mask
+    // shape - empty, tail-quad-only and full quad lists included -
+    // dispatch policy, ISA level and pool width.
     PoolGuard guard;
     IsaGuard isa_guard;
     PolicyGuard policy_guard;
     const std::int32_t zp = 137;
     Rng rng(1401);
 
-    for (std::size_t kk : {63u, 64u, 65u, 127u, 129u, 2049u}) {
+    for (std::size_t kk : {63u, 64u, 65u, 66u, 127u, 129u, 2049u}) {
         for (int v : {4, 8}) {
             const std::size_t m = 2 * static_cast<std::size_t>(v);
             const std::size_t n = 2 * static_cast<std::size_t>(v);
@@ -675,29 +710,30 @@ TEST(KernelParity, BitsetWordBoundariesMatchReference)
             for (MaskKind kind :
                  {MaskKind::AllDense, MaskKind::AllCompressed,
                   MaskKind::WeightOnly, MaskKind::ActOnly,
+                  MaskKind::TailOnly, MaskKind::OnePerQuad,
                   MaskKind::Random}) {
-                const bool w_comp = kind == MaskKind::AllCompressed ||
-                                    kind == MaskKind::WeightOnly;
-                const bool x_comp = kind == MaskKind::AllCompressed ||
-                                    kind == MaskKind::ActOnly;
                 const MatrixI32 w_codes =
                     kind == MaskKind::Random
                         ? randomWeightCodes(rng, m, kk, 1)
-                        : uniformHoWeightCodes(rng, m, kk, w_comp);
+                        : uniformHoWeightCodes(rng, m, kk, kind);
                 const MatrixI32 x_codes =
                     kind == MaskKind::Random
                         ? randomActivationCodes(rng, kk, n, 8, zp)
-                        : uniformHoActivationCodes(rng, kk, n, zp, x_comp);
+                        : uniformHoActivationCodes(rng, kk, n, zp, kind);
                 resetIsaLevel();
                 resetStreamPolicy();
                 const WeightOperand w = prepareWeights(w_codes, 1, cfg);
                 const ActivationOperand x =
                     prepareActivations(x_codes, 1, zp, cfg);
                 if (kind != MaskKind::Random) {
-                    ASSERT_DOUBLE_EQ(maskDensityOfOnes(w.hoMask),
-                                     w_comp ? 1.0 : 0.0);
-                    ASSERT_DOUBLE_EQ(maskDensityOfOnes(x.hoMask),
-                                     x_comp ? 1.0 : 0.0);
+                    for (std::size_t k = 0; k < kk; ++k) {
+                        for (std::size_t mg = 0; mg < w.hoMask.rows(); ++mg)
+                            ASSERT_EQ(w.hoMask(mg, k) == 0,
+                                      denseAt(kind, true, k, kk));
+                        for (std::size_t ng = 0; ng < x.hoMask.cols(); ++ng)
+                            ASSERT_EQ(x.hoMask(k, ng) == 0,
+                                      denseAt(kind, false, k, kk));
+                    }
                 }
 
                 AqsStats ref_stats;
@@ -806,6 +842,34 @@ TEST(KernelParity, WorstCaseSliceProductsAtTheExactnessBoundary)
                 setStreamPolicy(policy);
                 EXPECT_TRUE(aqsGemm(w, x, cfg) == ref)
                     << "isa=" << toString(isa)
+                    << " policy=" << toString(policy);
+            }
+        }
+    }
+    {
+        // The same bound through listed passes: the first quad's weight
+        // vectors are zero and compressed, so the pass lists the other
+        // kq - 1 quads (forced gather runs it listed).
+        auto [w, x] = worstCaseOperands(k22 - 1);
+        for (std::size_t k = 0; k < 4; ++k) {
+            for (std::size_t i = 0; i < 4; ++i)
+                w.sliced.planes[0].data(i, k) = 0;
+            w.hoMask(0, k) = 1;
+        }
+        const MatrixI64 ref = aqsGemmReference(w, x, cfg);
+        const std::int64_t each = -std::int64_t{detail::kQuadWeightAbsMax} *
+                                  detail::kQuadActMax *
+                                  static_cast<std::int64_t>(k22 - 5);
+        for (std::int64_t e : ref.data())
+            ASSERT_EQ(e, each);
+        for (IsaLevel isa : runnableIsaLevels()) {
+            setIsaLevel(isa);
+            for (StreamPolicy policy :
+                 {StreamPolicy::Stream, StreamPolicy::Gather,
+                  StreamPolicy::Measured}) {
+                setStreamPolicy(policy);
+                EXPECT_TRUE(aqsGemm(w, x, cfg) == ref)
+                    << "listed isa=" << toString(isa)
                     << " policy=" << toString(policy);
             }
         }

@@ -16,7 +16,8 @@
  *  - fresh processes: two concurrent child processes that mmap the
  *    saved file serve outputs byte-identical to the in-process build;
  *  - hostile files: a checksum-restamped file with an out-of-range
- *    plane shift is rejected at load, and seeded bit flips,
+ *    plane shift, an out-of-range slice byte or an HO mask bit on a
+ *    nonzero weight vector is rejected at load, and seeded bit flips,
  *    truncations and directory edits either throw SerializeError or
  *    load and serve without crashing.
  */
@@ -646,6 +647,62 @@ TEST(ModelSerialize, OutOfRangePlaneShiftIsRejectedAtLoad)
     restampChecksum(bad);
     std::istringstream in(bad);
     EXPECT_THROW(serve::readServedModel(in), SerializeError);
+}
+
+/**
+ * Bulk bytes the structural checks cannot see: a weight slice outside
+ * SBR's [-8, 7] (which breaks the quad kernels' |w| <= 8 bound), and
+ * an HO mask bit set on a nonzero weight vector (whose quads a listed
+ * pass would skip). Each, checksum-restamped, must throw at load.
+ */
+TEST(ModelSerialize, OutOfRangeSliceAndMaskOnNonzeroVectorAreRejected)
+{
+    TempDir dir;
+    CompileOptions opts;
+    opts.maxLayers = 1;
+    const ModelSpec spec = tinySpec();
+    const CompiledModel model = compileModel(spec, opts);
+    const std::string path = dir.file("m.pncm");
+    saveCompiledModel(model, path);
+    const std::string good = readFile(path);
+    // Layer 0's sections follow META: slice planes (LO, then HO; M x K
+    // each), total codes, HO mask ((M/v) x K), RLE entries, payloads.
+    const auto section_offset = [&](std::size_t s) {
+        return static_cast<std::size_t>(fieldU64(good, 32 + 16 * s));
+    };
+    const std::size_t planes = section_offset(1);
+    const std::size_t mask = section_offset(3);
+    const std::size_t m = spec.layers[0].m, kk = spec.layers[0].kDim;
+    const std::size_t v = 4;
+    const auto expectRejected = [](std::string bad, const char *what) {
+        restampChecksum(bad);
+        std::istringstream in(bad);
+        EXPECT_THROW(serve::readServedModel(in), SerializeError) << what;
+    };
+
+    std::string bad = good;
+    bad[planes] = 0x40;
+    expectRejected(bad, "slice byte 0x40");
+
+    // A dense HO vector (some slice nonzero) gets its mask bit set.
+    const std::size_t ho = planes + m * kk;
+    std::size_t at = std::string::npos;
+    for (std::size_t g = 0; g < m / v && at == std::string::npos; ++g)
+        for (std::size_t k = 0; k < kk && at == std::string::npos; ++k) {
+            bool nonzero = false;
+            for (std::size_t i = 0; i < v; ++i)
+                nonzero = nonzero || good[ho + (g * v + i) * kk + k] != 0;
+            if (nonzero && good[mask + g * kk + k] == 0)
+                at = mask + g * kk + k;
+        }
+    ASSERT_NE(at, std::string::npos) << "no dense HO vector to mark";
+    bad = good;
+    bad[at] = 1;
+    expectRejected(bad, "mask bit on a nonzero vector");
+
+    // The untouched image still loads.
+    std::istringstream in(good);
+    EXPECT_NO_THROW(serve::readServedModel(in));
 }
 
 /**

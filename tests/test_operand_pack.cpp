@@ -1,15 +1,20 @@
 /**
  * @file
- * Layout tests of the 8-bit quad stream operands (core/operand_pack.h):
- * the activation and weight quad builders must place every slice
- * exactly where the index formula documented in core/pair_pass.h says,
- * zero the tail steps of a reduction length that is not a multiple of
- * four, zero the compressed vectors of a masked HO plane, and store
- * signed (Sibia) activation planes with their +8 offset. Pure packing -
- * no kernel runs - so this suite means the same on every ISA leg.
+ * Layout tests of the 8-bit quad operands (core/operand_pack.h): the
+ * activation and weight quad builders must place every slice exactly
+ * where the index formula documented in core/pair_pass.h says, zero
+ * the tail steps of a reduction length that is not a multiple of four,
+ * zero the compressed vectors of a masked HO plane, and store signed
+ * (Sibia) activation planes with their +8 offset; the quad lists a
+ * pass visits must hold exactly the quads with a dense step. Pure
+ * packing - no kernel runs - so this suite means the same on every ISA
+ * leg.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "core/operand_pack.h"
 #include "slicing/sbr.h"
@@ -82,7 +87,6 @@ TEST(OperandPack, QuadCountsCoverEveryStep)
     EXPECT_EQ(detail::quadCount(1), 1u);
     EXPECT_EQ(detail::quadCount(4), 1u);
     EXPECT_EQ(detail::quadCount(5), 2u);
-    EXPECT_EQ(detail::pairCount(5), 3u);
     EXPECT_EQ(detail::quadCount(2048), 512u);
 }
 
@@ -147,29 +151,66 @@ TEST(OperandPack, WeightBandQuadsFollowTheIndexFormula)
                                     << " i=" << i << " k=" << k;
                             }
 
-                // The masked HO copy keeps exactly the dense steps, and
-                // the row sums add up each row of the plane read.
-                const MatrixU8 mask_row = randomMask(rng, 1, kk, 0.5);
-                const std::int8_t *ho = wq.data() + (w.levels() - 1) * kq * pw;
-                std::vector<std::int8_t> wqm;
-                detail::maskBandPlaneQuad(ho, mask_row.row(0).data(), kk, v,
-                                          wqm);
-                ASSERT_EQ(wqm.size(), kq * pw);
-                std::vector<std::int32_t> sums(uv);
-                detail::quadRowSums(wqm.data(), kq, v, sums.data());
-                for (std::size_t i = 0; i < uv; ++i) {
-                    std::int32_t want_sum = 0;
-                    for (std::size_t k = 0; k < kq * 4; ++k) {
-                        const std::size_t at = (k / 4) * pw + 4 * i + k % 4;
-                        const bool dense = k < kk && mask_row(0, k) == 0;
-                        ASSERT_EQ(wqm[at], dense ? ho[at] : 0)
-                            << "masked v=" << v << " kk=" << kk
-                            << " i=" << i << " k=" << k;
-                        if (dense)
-                            want_sum += ho[at];
+                // The row sums add up each row of every plane.
+                for (std::size_t l = 0; l < w.levels(); ++l) {
+                    std::vector<std::int32_t> sums(uv);
+                    detail::quadRowSums(wq.data() + l * kq * pw, kq, v,
+                                        sums.data());
+                    for (std::size_t i = 0; i < uv; ++i) {
+                        std::int32_t want_sum = 0;
+                        for (std::size_t k = 0; k < kk; ++k)
+                            want_sum += w.planes[l].data(mg * uv + i, k);
+                        EXPECT_EQ(sums[i], want_sum)
+                            << "l=" << l << " row " << i;
                     }
-                    EXPECT_EQ(sums[i], want_sum) << "row " << i;
                 }
+            }
+        }
+    }
+}
+
+TEST(OperandPack, QuadListsHoldExactlyTheQuadsWithADenseStep)
+{
+    // Weight rows and activation skip lists, for K = 0..3 mod 4 across
+    // a bitset word edge and densities from empty to full: each quad
+    // list is the ascending set of quads holding a dense step, and its
+    // count a popcount of the folded bitset.
+    Rng rng(1605);
+    for (std::size_t kk : {61u, 62u, 63u, 64u, 130u}) {
+        for (double density : {0.0, 0.05, 0.5, 1.0}) {
+            const MatrixU8 mask = randomMask(rng, kk, 3, 1.0 - density);
+            const detail::SkipLists xd = detail::buildSkipLists(mask);
+            const std::size_t words = detail::bitsetWords(kk);
+            std::vector<std::uint64_t> bits(words);
+            std::vector<std::uint8_t> row(kk);
+            std::vector<std::uint32_t> wqs(detail::quadCount(kk));
+            for (std::size_t ng = 0; ng < 3; ++ng) {
+                std::vector<std::uint32_t> want;
+                std::size_t dense = 0;
+                for (std::size_t k = 0; k < kk; ++k) {
+                    row[k] = mask(k, ng);
+                    dense += mask(k, ng) == 0;
+                    const std::uint32_t q = static_cast<std::uint32_t>(k / 4);
+                    if (mask(k, ng) == 0 && (want.empty() || want.back() != q))
+                        want.push_back(q);
+                }
+                SCOPED_TRACE(::testing::Message()
+                             << "kk=" << kk << " density=" << density
+                             << " ng=" << ng);
+                EXPECT_EQ(std::vector<std::uint32_t>(
+                              xd.qlist(ng), xd.qlist(ng) + xd.qcount(ng)),
+                          want);
+                // The weight side: the same mask as one band's row.
+                ASSERT_EQ(detail::denseStepsOfRow(row.data(), kk,
+                                                  bits.data()),
+                          dense);
+                const auto word = [&](std::size_t i) { return bits[i]; };
+                EXPECT_EQ(detail::quadCountOf(words, word), want.size());
+                const std::size_t nq =
+                    detail::quadListOf(words, word, wqs.data());
+                EXPECT_EQ(std::vector<std::uint32_t>(wqs.begin(),
+                                                     wqs.begin() + nq),
+                          want);
             }
         }
     }

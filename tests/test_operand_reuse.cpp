@@ -153,7 +153,6 @@ TEST_P(OperandReuse, ConcatIsByteIdenticalToDirectPreparation)
                   direct.streams[s].encodedBits());
         EXPECT_EQ(cat.streams[s].decode(), direct.streams[s].decode());
     }
-    EXPECT_EQ(cat.widenedPlanes, direct.widenedPlanes);
     EXPECT_EQ(cat.quadPlanes, direct.quadPlanes);
 
     // And the GEMM sees no difference.

@@ -173,7 +173,6 @@ TEST(PrepParallel, FullOperandPreparationMatchesSerialAcrossThreads)
         EXPECT_EQ(x.r, x_serial.r);
         EXPECT_TRUE(x.hoMask == x_serial.hoMask);
         expectStreamsEqual(x.streams, x_serial.streams);
-        EXPECT_EQ(x.widenedPlanes, x_serial.widenedPlanes);
         EXPECT_EQ(x.quadPlanes, x_serial.quadPlanes);
     }
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI gate over bench_kernels --density-sweep output.
 
-Asserts the measured-cost stream/gather dispatch policy holds up
+Asserts the measured-cost stream/list dispatch policy holds up
 against the static rule across the activation-density sweep:
 
   - parity: every sweep point compared both policies' outputs against
@@ -9,7 +9,7 @@ against the static rule across the activation-density sweep:
   - no point may lose more than 2% to the static rule
     (measured_over_static >= 0.98 everywhere);
   - at least one point must win or tie (max ratio >= 1.0) - on every
-    calibrated host the low-density end is a real gather-vs-stream
+    calibrated host the low-density end is a real listed-vs-stream
     crossover win, not noise.
 
 This is a perf gate on shared runners, so the CI step retries the

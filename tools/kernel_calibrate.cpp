@@ -1,7 +1,7 @@
 /**
  * @file
  * panacea_kernel_calibrate - resolve (and persist) the per-host
- * stream-vs-gather kernel cost calibration (core/kernel_cost_model.h).
+ * stream-vs-listed kernel cost calibration (core/kernel_cost_model.h).
  *
  * The first run on a host measures every runnable ISA tier x kernel
  * family and writes PANACEA_CACHE_DIR/kernel_costs.json; later runs
