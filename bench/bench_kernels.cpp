@@ -12,27 +12,21 @@
  *   bench_kernels --json           # also write BENCH_kernels.json
  *   bench_kernels --json=out.json  # custom output path
  *   bench_kernels --quick          # fewer repetitions (CI smoke)
- *   bench_kernels --density-sweep  # static-vs-measured policy sweep
- *   bench_kernels --shapes         # served-model layers only: measured
- *                                  # vs cost-model-predicted ms
+ *   bench_kernels --shapes         # served-model layers only: ms under
+ *                                  # the rule, forced stream and gather
  *
  * The JSON payload records old-vs-new GMAC/s (effective dense MACs per
  * second), the speedup ratio, a per-ISA GMAC/s table at the 256^3/60%
  * reference case, the thread-scaling curve of the new kernel, the
  * serial-vs-parallel preparation-stage speedups, and a parity flag
  * asserting every kernel agreed with the reference bit-for-bit during
- * the run. With --density-sweep it additionally records GMAC/s of the
- * static vs measured stream/list dispatch policy
- * (core/kernel_cost_model.h) across activation densities - the CI gate
- * asserts the measured policy never loses more than noise to the
- * static rule at any density. --shapes instead times aqsGemm on the
- * real operands of the served llama32_1b stack (N = 512, one prefill
- * round) and bertBase (N = 8) and records, per layer, the measured ms
- * next to what the stream/list cost model predicted for the same
- * pass choices, plus the single-thread ms under forced stream and
- * forced gather (every pass with a list runs listed; the JSON keeps
- * the "gather" names); a layer's parity requires all three outputs
- * equal.
+ * the run. --shapes instead times aqsGemm on the real operands of the
+ * served llama32_1b stack (N = 512, one prefill round) and bertBase
+ * (N = 8) and records, per layer, the ms under the stream/list rule
+ * (core/kernel_cost_model.h) with the number of passes it streams and
+ * lists, plus the single-thread ms under forced stream and forced
+ * gather (every pass with a list runs listed; the JSON keeps the
+ * "gather" names); a layer's parity requires all three outputs equal.
  * See README.md ("Bench JSON schema") for the field list.
  */
 
@@ -71,7 +65,6 @@ struct BenchOptions
     double minSeconds = 0.3;
     int maxReps = 25;
     bool quick = false;
-    bool densitySweep = false;
     bool shapes = false;
 };
 
@@ -155,16 +148,6 @@ struct ThreadPoint
     double speedupVs1 = 0.0;
 };
 
-struct DensityPoint
-{
-    int densityPct = 0;
-    double staticMs = 0.0;
-    double measuredMs = 0.0;
-    bool parity = false;
-
-    double ratio() const { return staticMs / measuredMs; }
-};
-
 struct PrepStage
 {
     const char *name = "";
@@ -218,51 +201,40 @@ struct ShapeResult
     double ms1tGather = 0.0; ///< single-thread best-of, forced gather
     std::uint64_t executed = 0; ///< executed outer products
     std::uint64_t streamPasses = 0, gatherPasses = 0;
-    bool predicted = false; ///< the cost model had measured costs
-    double predictedMs = 0.0;
     bool parity = false;
 
     double psPerOp() const { return ms1t * 1e9 / executed; }
-    double ratio() const { return ms1t / predictedMs; }
 };
 
 /**
- * What the stream/list cost model predicts one aqsGemm call costs on
- * a single thread: per (m-group, n-group) tile, every pair pass the
- * kernel runs is priced as 2 * stream_ps_per_pair per quad over all kq
- * quads when the call's StreamDecision streams it, else 4 *
- * gather_ps_per_step per listed quad - the same per-pass choice the
- * kernel makes (served activations are unsigned, so every side may
- * list). Fills the prediction and pass-count fields of `res`.
+ * How many pair passes of one aqsGemm call stream all kq quads and how
+ * many run listed: per (m-group, n-group) tile, the same per-pass
+ * choice the kernel makes under the active policy (served activations
+ * are unsigned, so every side may list). Fills the pass-count fields
+ * of `res`.
  */
 void
-predictLayer(const WeightOperand &w, const ActivationOperand &x,
-             const AqsConfig &cfg, ShapeResult &res)
+countLayerPasses(const WeightOperand &w, const ActivationOperand &x,
+                 const AqsConfig &cfg, ShapeResult &res)
 {
     const std::size_t kk = w.sliced.cols();
     const std::size_t uv = static_cast<std::size_t>(cfg.v);
     const std::size_t m_groups = w.sliced.rows() / uv;
     const std::size_t n_groups = x.sliced.cols() / uv;
     const std::size_t kq = detail::quadCount(kk);
-    const detail::StreamDecision sd = detail::streamDecision(
-        activeIsaLevel(), cfg.v == 4 ? detail::KernelFamily::Pass4
-                                     : detail::KernelFamily::Generic);
+    const detail::StreamDecision sd{activeStreamPolicy()};
     const bool x_identity = cfg.actSkip == ActSkipMode::None;
     const detail::SkipLists xd =
         x_identity ? detail::SkipLists{} : detail::buildSkipLists(x.hoMask);
     const std::size_t words = detail::bitsetWords(kk);
     std::vector<std::uint64_t> wbits(words);
 
-    std::uint64_t ps = 0;
     // A pass with a list of nq quads (`listed`), else over all of them.
     auto pass = [&](bool listed, std::uint64_t nq, std::uint64_t count) {
-        if (!listed || sd.profitable(nq, kq)) {
-            ps += count * 2 * sd.stream_ps_per_pair * kq;
+        if (!listed || sd.profitable(nq, kq))
             res.streamPasses += count;
-        } else {
-            ps += count * 4 * sd.gather_ps_per_step * nq;
+        else
             res.gatherPasses += count;
-        }
     };
     const std::uint64_t lo_lo = (res.wLevels - 1) * (res.xLevels - 1);
     for (std::size_t mg = 0; mg < m_groups; ++mg) {
@@ -287,8 +259,6 @@ predictLayer(const WeightOperand &w, const ActivationOperand &x,
             pass(w_listed || x_listed, nboth, 1);
         }
     }
-    res.predicted = sd.policy == StreamPolicy::Measured && sd.measured;
-    res.predictedMs = static_cast<double>(ps) * 1e-9;
 }
 
 /** Runs every layer of `spec` (all of them once, in stack order) on
@@ -357,17 +327,13 @@ runModelShapes(const BenchOptions &opt, const ModelSpec &spec,
         }
         setStreamPolicy(policy);
         setParallelThreads(pool);
-        predictLayer(w, op, cfg, r);
+        countLayerPasses(w, op, cfg, r);
         out.push_back(r);
-        char pred[32] = "        -        -";
-        if (r.predicted)
-            std::snprintf(pred, sizeof pred, "%9.2f  %6.2fx",
-                          r.predictedMs, r.ratio());
         std::printf("  %-12s %-10s %5zu %5zu %4zu  %9.2f  %9.2f  %9.2f  "
-                    "%9.2f  %8.1f  %s  %6llu/%-6llu %s\n",
+                    "%9.2f  %8.1f  %6llu/%-6llu %s\n",
                     r.model.c_str(), r.layer.c_str(), r.m, r.k, r.n,
                     r.ms1t, r.msPool, r.ms1tStream, r.ms1tGather,
-                    r.psPerOp(), pred,
+                    r.psPerOp(),
                     static_cast<unsigned long long>(r.streamPasses),
                     static_cast<unsigned long long>(r.gatherPasses),
                     r.parity ? "yes" : "NO");
@@ -387,8 +353,8 @@ runShapes(const BenchOptions &opt)
               << toString(activeIsaLevel()) << ", policy: "
               << toString(activeStreamPolicy()) << ")\n";
     std::cout << "  model        layer          M     K    N   ms(1t)  "
-                 "ms(pool)  stream-1t  gather-1t  ps/op  pred-ms  "
-                 "meas/pred  stream/gather parity\n";
+                 "ms(pool)  stream-1t  gather-1t  ps/op  "
+                 "stream/gather parity\n";
     runModelShapes(opt, llama32_1b(), 512, out);
     runModelShapes(opt, bertBase(), 8, out);
     return out;
@@ -411,14 +377,8 @@ writeShapesJson(std::ostream &out, const std::vector<ShapeResult> &shapes)
             << ", \"executed_outer_products\": " << r.executed
             << ", \"ps_per_op\": " << r.psPerOp()
             << ", \"stream_passes\": " << r.streamPasses
-            << ", \"gather_passes\": " << r.gatherPasses;
-        if (r.predicted)
-            out << ", \"predicted_ms\": " << r.predictedMs
-                << ", \"measured_over_predicted\": " << r.ratio();
-        else
-            out << ", \"predicted_ms\": null"
-                << ", \"measured_over_predicted\": null";
-        out << ", \"parity\": " << (r.parity ? "true" : "false") << "}"
+            << ", \"gather_passes\": " << r.gatherPasses
+            << ", \"parity\": " << (r.parity ? "true" : "false") << "}"
             << (i + 1 < shapes.size() ? "," : "") << "\n";
     }
     out << "  ]\n";
@@ -441,8 +401,6 @@ main(int argc, char **argv)
             opt.minSeconds = 0.05;
             opt.maxReps = 5;
             opt.quick = true;
-        } else if (arg == "--density-sweep") {
-            opt.densitySweep = true;
         } else if (arg == "--shapes") {
             opt.shapes = true;
         } else {
@@ -545,88 +503,6 @@ main(int argc, char **argv)
                         c.parity ? "yes" : "NO");
         }
         resetIsaLevel();
-    }
-
-    // --- Static vs measured dispatch policy across densities ---------
-    // The stream/list crossover moves with activation density (dense
-    // lists favor streaming, sparse ones listing); this sweep pins
-    // where the per-host measured-cost policy wins over the static
-    // 2*nq >= kq rule and by how much. Single-threaded so the numbers
-    // isolate the dispatch choice, not pool effects.
-    std::vector<DensityPoint> density_points;
-    if (opt.densitySweep) {
-        setParallelThreads(1);
-        // The CI gate compares the two policies within a 2% band, so
-        // this sweep keeps a timing floor even under --quick: at the
-        // densities where both policies resolve to the same mechanism
-        // the true ratio is 1.0 and anything else is timer noise.
-        BenchOptions sweep_opt = opt;
-        sweep_opt.minSeconds = std::max(opt.minSeconds, 1.2);
-        sweep_opt.maxReps = std::max(opt.maxReps, 80);
-        const std::size_t ddim = 256;
-        Rng drng(11);
-        const std::int32_t dzp = 136;
-        MatrixI32 dw = weightCodes(drng, ddim, ddim, 0.6);
-        std::cout << "\nstream/gather dispatch policy sweep (dim="
-                  << ddim << ", single thread, isa: "
-                  << toString(activeIsaLevel()) << ")\n";
-        std::cout << "  density  static-GMAC/s  measured-GMAC/s  "
-                     "measured/static  parity\n";
-        for (int density : {10, 30, 50, 60, 70, 90}) {
-            // Density here = fraction of activations OUTSIDE the
-            // skippable cluster around the zero point.
-            MatrixI32 dx = actCodes(drng, ddim, ddim, dzp,
-                                    1.0 - density / 100.0);
-            AqsConfig cfg;
-            WeightOperand w_op = prepareWeights(dw, 1, cfg);
-            ActivationOperand x_op =
-                prepareActivations(dx, 1, dzp, cfg);
-            MatrixI64 ref = aqsGemmReference(w_op, x_op, cfg);
-
-            DensityPoint p;
-            p.densityPct = density;
-            setStreamPolicy(StreamPolicy::Static);
-            p.parity = aqsGemm(w_op, x_op, cfg) == ref; // also warms
-            setStreamPolicy(StreamPolicy::Measured);
-            p.parity = p.parity && aqsGemm(w_op, x_op, cfg) == ref;
-            // Interleaved best-of: alternate the policies within each
-            // repetition so host drift (frequency ramps, CI-container
-            // steal time) hits both columns alike instead of biasing
-            // whichever was timed second.
-            using clock = std::chrono::steady_clock;
-            double best_static = 1e300, best_measured = 1e300;
-            double total = 0.0;
-            for (int rep = 0; rep < sweep_opt.maxReps; ++rep) {
-                setStreamPolicy(StreamPolicy::Static);
-                auto t0 = clock::now();
-                aqsGemm(w_op, x_op, cfg);
-                auto t1 = clock::now();
-                setStreamPolicy(StreamPolicy::Measured);
-                auto t2 = clock::now();
-                aqsGemm(w_op, x_op, cfg);
-                auto t3 = clock::now();
-                const double ms_s =
-                    std::chrono::duration<double, std::milli>(t1 - t0)
-                        .count();
-                const double ms_m =
-                    std::chrono::duration<double, std::milli>(t3 - t2)
-                        .count();
-                best_static = std::min(best_static, ms_s);
-                best_measured = std::min(best_measured, ms_m);
-                total += (ms_s + ms_m) * 1e-3;
-                if (rep >= 2 && total >= sweep_opt.minSeconds)
-                    break;
-            }
-            p.staticMs = best_static;
-            p.measuredMs = best_measured;
-            resetStreamPolicy();
-            density_points.push_back(p);
-            std::printf("  %6d%%  %13.3f  %15.3f  %14.3fx  %s\n",
-                        p.densityPct,
-                        gmacs(ddim, ddim, ddim, p.staticMs),
-                        gmacs(ddim, ddim, ddim, p.measuredMs),
-                        p.ratio(), p.parity ? "yes" : "NO");
-        }
     }
 
     // --- Thread scaling of the new kernel ----------------------------
@@ -740,8 +616,6 @@ main(int argc, char **argv)
         all_parity = all_parity && r.parity;
     for (const IsaCase &c : isa_cases)
         all_parity = all_parity && c.parity;
-    for (const DensityPoint &p : density_points)
-        all_parity = all_parity && p.parity;
 
     if (opt.writeJson) {
         std::ofstream out(opt.jsonPath);
@@ -790,22 +664,6 @@ main(int argc, char **argv)
                 << (isa_cases.front().ms / c.ms)
                 << ", \"parity\": " << (c.parity ? "true" : "false")
                 << "}" << (i + 1 < isa_cases.size() ? "," : "") << "\n";
-        }
-        out << "  ],\n  \"density_sweep\": [\n";
-        for (std::size_t i = 0; i < density_points.size(); ++i) {
-            const DensityPoint &p = density_points[i];
-            out << "    {\"density_pct\": " << p.densityPct
-                << ", \"dim\": 256"
-                << ", \"static_ms\": " << p.staticMs
-                << ", \"measured_ms\": " << p.measuredMs
-                << ", \"static_gmacs\": "
-                << gmacs(256, 256, 256, p.staticMs)
-                << ", \"measured_gmacs\": "
-                << gmacs(256, 256, 256, p.measuredMs)
-                << ", \"measured_over_static\": " << p.ratio()
-                << ", \"parity\": " << (p.parity ? "true" : "false")
-                << "}" << (i + 1 < density_points.size() ? "," : "")
-                << "\n";
         }
         // thread_scaling_measured: false when the host cannot run the
         // ladder's threads concurrently (1 hardware core, or every

@@ -54,10 +54,11 @@ struct RuntimeOptions
     std::string isa;
     /**
      * Dense-stream vs listed-quad dispatch policy for the pair-pass
-     * kernels: "static" | "measured" | "stream" | "gather" (every
-     * pass with a quad list runs listed); "" keeps the
-     * current selection (PANACEA_STREAM_POLICY env var, default
-     * "measured" - the per-host calibrated cost comparison). Also
+     * kernels: "measured" (the fixed rule: a pass streams once at
+     * least half of its quads are listed) | "stream" | "gather" (every
+     * pass with a quad list runs listed); "" keeps the current
+     * selection (PANACEA_STREAM_POLICY env var, default "measured").
+     * Unknown names warn and keep the current selection. Also
      * process-global; every policy produces bit-identical results.
      */
     std::string streamPolicy;

@@ -24,7 +24,7 @@ Runtime::Runtime(const RuntimeOptions &opts) : opts_(opts)
             setStreamPolicy(policy);
         else
             warn("RuntimeOptions::streamPolicy '", opts_.streamPolicy,
-                 "' not recognized (static|measured|stream|gather) - "
+                 "' not recognized (measured|stream|gather) - "
                  "keeping current selection");
     }
     if (opts_.threads > 0)

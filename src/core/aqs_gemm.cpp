@@ -215,9 +215,9 @@ struct QuadList
  *     activation-side list for HO_x, and for HO_w/HO_x the quads of the
  *     ANDed dense-step bitsets (counted by popcount, listed by ctz only
  *     when the pass reads the list). The stream decision `sd` (resolved
- *     once per GEMM call from the active policy + this host's
- *     calibrated costs; see core/kernel_cost_model.h) picks the dense
- *     stream over all quads instead whenever it predicts that cheaper.
+ *     once per GEMM call from the active policy; see
+ *     core/kernel_cost_model.h) picks the dense stream over all quads
+ *     instead once at least half of them are listed.
  *     The operands zero every compressed step, so both visit the same
  *     nonzero products and the choice never changes a result;
  *   - merge each int32 pair accumulator into the int64 micro-tile with
@@ -271,7 +271,7 @@ blockedBand(const SlicedMatrix &w, const MatrixU8 &w_mask,
     const std::int32_t x_off = detail::quadActOffset(x);
     const std::size_t words = detail::bitsetWords(kk);
     const QuadList all{nullptr, kq};
-    // A listed pass, unless the dense stream is predicted cheaper.
+    // A listed pass, unless the stream decision streams it.
     const auto choose = [&](const std::uint32_t *qs, std::size_t nq) {
         return sd.profitable(nq, kq) ? all : QuadList{qs, nq};
     };
@@ -520,11 +520,10 @@ blockedGemm(const SlicedMatrix &w, const MatrixU8 &w_mask,
     const PairPassKernels &kern = pairPassKernels(activeIsaLevel());
 
     // Stream-vs-list decision for this call, also resolved once (the
-    // policy and cost-table lookups stay out of the per-pass loop).
-    // Every alternative sums the same products, so the decision changes
-    // throughput only, never results.
-    const StreamDecision sd = streamDecision(
-        kern.level, v == 4 ? KernelFamily::Pass4 : KernelFamily::Generic);
+    // policy lookup stays out of the per-pass loop). Every alternative
+    // sums the same products, so the decision changes throughput only,
+    // never results.
+    const StreamDecision sd{activeStreamPolicy()};
 
     // Quad activation planes: precomputed by prepareActivations*,
     // rebuilt here for hand-built operands and the Sibia front end. The
