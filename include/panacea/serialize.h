@@ -5,15 +5,17 @@
  * artifact. A model saved here and loaded in another process is
  * behaviourally byte-identical to the freshly compiled original -
  * same outputs, same AqsStats, at every ISA level - and loading does
- * zero calibration/slicing/RLE/HO work.
+ * zero calibration/slicing/HO-mask work.
  *
- The format lays every bulk payload out in 64-byte-aligned sections
- * so loadCompiledModel() can map the file read-only and serve the
- * weights in place: cold-start cost becomes page mapping plus header
- * validation, and processes loading the same file share one set of
- * physical weight pages (CompiledModel::mappedBytes() reports the
- * mapping). The full layout is
- * documented in src/serve/model_serialize.h;
+ * The format (version 3) stores four bulk sections per layer - slice
+ * planes, total codes, HO mask, folded bias - and no RLE streams: the
+ * statistics count RLE traffic from the HO mask. Every bulk payload
+ * sits in a 64-byte-aligned section, so loadCompiledModel() can map
+ * the file read-only and serve the weights in place: cold-start cost
+ * becomes page mapping plus header validation, and processes loading
+ * the same file share one set of physical weight pages
+ * (CompiledModel::mappedBytes() reports the mapping). The full layout
+ * is documented in src/serve/model_serialize.h;
  * tests/test_model_serialize.cpp pins round-trip byte identity and
  * every rejection path. Any structural defect - bad magic, unknown
  * version, checksum mismatch, truncation, fingerprint mismatch -
@@ -37,7 +39,7 @@ namespace panacea {
 /** Structural defect in a compiled-model file (see file header). */
 using SerializeError = serve::SerializeError;
 
-/** Compiled-model file format version (sectioned, mappable). */
+/** Compiled-model file format version (sectioned, mappable; 3). */
 inline constexpr std::uint32_t kCompiledModelFormatVersion =
     serve::kCompiledModelFormatVersion;
 

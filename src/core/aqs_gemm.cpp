@@ -7,6 +7,7 @@
 #include "core/kernel_cost_model.h"
 #include "core/operand_pack.h"
 #include "core/pair_pass.h"
+#include "slicing/rle.h"
 #include "slicing/sparsity.h"
 #include "util/cpu_features.h"
 #include "util/logging.h"
@@ -77,42 +78,29 @@ prepareWeights(const MatrixI32 &codes, int n, const AqsConfig &cfg)
     op.totalCodes = op.sliced.reconstruct();
     panic_if(!(op.totalCodes == codes), "SBR slicing is not lossless");
 
-    const Matrix<Slice> &ho = op.sliced.hoPlane().data;
-    if (cfg.skipWeightVectors) {
-        op.hoMask = weightVectorMask(ho, cfg.v);
-    } else {
-        op.hoMask = MatrixU8(codes.rows() / cfg.v, codes.cols(), 0);
-    }
-    op.streams = encodeWeightPlane(ho, cfg.v, cfg.rleIndexBits);
+    op.hoMask = weightVectorMask(op.sliced.hoPlane().data, cfg.v);
     return op;
 }
 
 namespace {
 
-/** Build mask, RLE streams and the quad kernel operand for an
- *  activation HO plane. */
+/** Build the mask and the quad kernel operand for an activation HO
+ *  plane. */
 void
 finishActivationOperand(ActivationOperand &op, const AqsConfig &cfg)
 {
     const Matrix<Slice> &ho = op.sliced.hoPlane().data;
-    Slice skip_value = 0;
     switch (cfg.actSkip) {
       case ActSkipMode::RValued:
-        skip_value = op.r;
+        op.hoMask = activationVectorMask(ho, cfg.v, op.r);
         break;
       case ActSkipMode::ZeroOnly:
-        skip_value = 0;
+        op.hoMask = activationVectorMask(ho, cfg.v, 0);
         break;
       case ActSkipMode::None:
-        skip_value = -1;
+        op.hoMask = MatrixU8(ho.rows(), ho.cols() / cfg.v, 0);
         break;
     }
-    if (cfg.actSkip == ActSkipMode::None)
-        op.hoMask = MatrixU8(ho.rows(), ho.cols() / cfg.v, 0);
-    else
-        op.hoMask = activationVectorMask(ho, cfg.v, skip_value);
-    op.streams = encodeActivationPlane(ho, cfg.v, skip_value,
-                                       cfg.rleIndexBits);
     // The quad operand of every pair pass, whenever the blocked band
     // (not the scalar reference) will run.
     if (detail::aqsBlockedKernelExact(ho.rows(), cfg.v))
@@ -135,42 +123,29 @@ checkShapes(const WeightOperand &w, const ActivationOperand &x, int v)
 
 /**
  * Traffic accounting shared by both kernels and the counting-only
- * entry point: dense LO planes plus RLE-compressed HO planes,
- * identical for any execution schedule. The activation side covers the
- * column bands [ng_begin, ng_end) only (full kernels pass the whole
- * range); the weight side always counts in full - weights are loaded
- * once per GEMM call regardless of how many columns it serves.
+ * entry point: dense LO planes plus RLE-compressed HO planes, where
+ * w_stored / x_stored are the HO entries the weight and activation
+ * streams store (RleEntryCounter over the masks), identical for any
+ * execution schedule. The activation side covers n column bands only
+ * (full kernels pass them all); the weight side always counts in full
+ * - weights are loaded once per GEMM call regardless of how many
+ * columns it serves.
  */
 void
-countTraffic(AqsStats &local, const WeightOperand &w,
-             const ActivationOperand &x, std::size_t m, std::size_t kk,
-             std::size_t w_levels, std::size_t x_levels, int v,
-             std::size_t ng_begin, std::size_t ng_end)
+countTraffic(AqsStats &local, std::size_t m, std::size_t kk,
+             std::size_t w_levels, std::size_t x_levels, std::size_t n,
+             const AqsConfig &cfg, std::uint64_t w_stored,
+             std::uint64_t x_stored)
 {
-    const std::size_t n =
-        (ng_end - ng_begin) * static_cast<std::size_t>(v);
-    const std::uint64_t w_lo_nibbles =
-        static_cast<std::uint64_t>(m) * kk * (w_levels - 1);
-    const std::uint64_t x_lo_nibbles =
-        static_cast<std::uint64_t>(kk) * n * (x_levels - 1);
-    std::uint64_t w_ho_nibbles = 0;
-    for (const RleStream &s : w.streams) {
-        w_ho_nibbles += s.storedCount() * static_cast<std::uint64_t>(v);
-        local.wIndexBits += s.storedCount() *
-                            static_cast<std::uint64_t>(s.indexBits());
-    }
-    std::uint64_t x_ho_nibbles = 0;
-    // Hand-built operands may carry no streams (mode None never reads
-    // them); they then contribute no compressed-HO traffic.
-    const std::size_t s_end = std::min(ng_end, x.streams.size());
-    for (std::size_t ng = ng_begin; ng < s_end; ++ng) {
-        const RleStream &s = x.streams[ng];
-        x_ho_nibbles += s.storedCount() * static_cast<std::uint64_t>(v);
-        local.xIndexBits += s.storedCount() *
-                            static_cast<std::uint64_t>(s.indexBits());
-    }
-    local.wNibbles = w_lo_nibbles + w_ho_nibbles;
-    local.xNibbles = x_lo_nibbles + x_ho_nibbles;
+    const std::uint64_t uv = static_cast<std::uint64_t>(cfg.v);
+    const std::uint64_t bits =
+        static_cast<std::uint64_t>(cfg.rleIndexBits);
+    local.wNibbles =
+        static_cast<std::uint64_t>(m) * kk * (w_levels - 1) + w_stored * uv;
+    local.xNibbles =
+        static_cast<std::uint64_t>(kk) * n * (x_levels - 1) + x_stored * uv;
+    local.wIndexBits = w_stored * bits;
+    local.xIndexBits = x_stored * bits;
     local.denseNibbles = static_cast<std::uint64_t>(m) * kk * w_levels +
                          static_cast<std::uint64_t>(kk) * n * x_levels;
 }
@@ -572,8 +547,8 @@ aqsGemm(const WeightOperand &w, const ActivationOperand &x,
     MatrixI64 acc = detail::blockedGemm(w.sliced, w.hoMask, w.totalCodes,
                                         x.sliced, x.hoMask, x.r, cfg,
                                         x.quadPlanes);
-    // Statistics depend on the masks and streams alone, never on the
-    // schedule that ran: they are counted, not tallied in the band.
+    // Statistics depend on the masks alone, never on the schedule that
+    // ran: they are counted, not tallied in the band.
     if (stats)
         *stats += aqsCountStats(w, x, cfg);
     return acc;
@@ -711,8 +686,21 @@ aqsGemmReference(const WeightOperand &w, const ActivationOperand &x,
                   static_cast<std::uint64_t>(v);
     local.adds = local.mults;
 
-    countTraffic(local, w, x, m, kk, w_levels, x_levels, v, 0,
-                 n / static_cast<std::size_t>(v));
+    // HO entries per stream, one stream per weight m-band (a mask row)
+    // and per activation n-band (a mask column; every vector is stored
+    // under ActSkipMode::None, whose mask may be absent).
+    std::uint64_t w_stored = 0;
+    for (std::size_t mg = 0; mg < m_groups; ++mg)
+        w_stored += rleStoredCount(w.hoMask.row(mg).data(), kk, 1,
+                                   cfg.rleIndexBits);
+    std::uint64_t x_stored = 0;
+    for (std::size_t ng = 0; ng < n_groups; ++ng)
+        x_stored += cfg.actSkip == ActSkipMode::None
+                        ? kk
+                        : rleStoredCount(x.hoMask.data().data() + ng, kk,
+                                         x.hoMask.cols(), cfg.rleIndexBits);
+    countTraffic(local, m, kk, w_levels, x_levels, n, cfg, w_stored,
+                 x_stored);
 
     if (stats)
         *stats += local;
@@ -744,9 +732,8 @@ concatActivationOperands(std::span<const ActivationOperand *const> ops,
         panic_if(op->r != first.r,
                  "concat operands disagree on the skip value r");
         panic_if(op->hoMask.rows() != kk ||
-                     op->hoMask.cols() != n_op / uv ||
-                     op->streams.size() != n_op / uv,
-                 "concat operand mask/streams malformed (prepare with "
+                     op->hoMask.cols() != n_op / uv,
+                 "concat operand mask malformed (prepare with "
                  "prepareActivations*)");
         for (std::size_t l = 0; l < levels; ++l)
             panic_if(op->sliced.planes[l].shift !=
@@ -765,10 +752,6 @@ concatActivationOperands(std::span<const ActivationOperand *const> ops,
     out.sliced.loBits = first.sliced.loBits;
     out.sliced.planes.resize(levels);
     out.hoMask = MatrixU8(kk, g_total);
-    out.streams.reserve(g_total);
-    for (const ActivationOperand *op : ops)
-        out.streams.insert(out.streams.end(), op->streams.begin(),
-                           op->streams.end());
 
     // Slice planes + HO mask: row-wise block copies, parallel over K.
     // Chunks write disjoint row segments of pre-sized outputs, so the
@@ -825,26 +808,43 @@ concatActivationOperands(std::span<const ActivationOperand *const> ops,
 }
 
 WeightCountingCache
-buildWeightCountingCache(const WeightOperand &w, int v)
+buildWeightCountingCache(const WeightOperand &w, int v, int index_bits)
 {
     const std::size_t uv = static_cast<std::size_t>(v);
     const std::size_t m_groups = w.sliced.rows() / uv;
     const std::size_t kk = w.sliced.cols();
     WeightCountingCache out;
     out.wcol.assign(kk, 0);
+    out.indexBits = index_bits;
     for (std::size_t mg = 0; mg < m_groups; ++mg) {
         const std::uint8_t *wmask = w.hoMask.row(mg).data();
+        RleEntryCounter entries(index_bits);
         for (std::size_t k = 0; k < kk; ++k) {
+            entries.add(wmask[k] != 0);
             if (wmask[k] == 0) {
                 ++out.wdSum;
                 ++out.wcol[k];
             }
         }
+        out.wStored += entries.stored();
     }
     return out;
 }
 
 namespace {
+
+/** Precondition of the cached counting entry points. */
+void
+checkWeightCountingCache(const WeightOperand &w, const AqsConfig &cfg,
+                         const WeightCountingCache &wcache)
+{
+    panic_if(wcache.wcol.size() != w.sliced.cols(),
+             "weight counting cache covers ", wcache.wcol.size(),
+             " steps, operand has ", w.sliced.cols());
+    panic_if(wcache.indexBits != cfg.rleIndexBits,
+             "weight counting cache counts ", wcache.indexBits,
+             "-bit RLE indices, configuration has ", cfg.rleIndexBits);
+}
 
 AqsStats
 countStatsRange(const WeightOperand &w, const ActivationOperand &x,
@@ -864,20 +864,28 @@ countStatsRange(const WeightOperand &w, const ActivationOperand &x,
     const std::uint64_t wd_sum = w_counts.wdSum;
 
     // Activation side over the requested column bands: dense-step
-    // counts and the intersection sum over all (mg, ng) tiles.
+    // counts, the intersection sum over all (mg, ng) tiles and the HO
+    // RLE entries of each band's stream. Under ActSkipMode::None every
+    // vector is dense and stored.
     std::uint64_t nxd_sum = 0;
     std::uint64_t inter_sum = 0;
+    std::uint64_t x_stored = 0;
     if (x_identity) {
         nxd_sum = static_cast<std::uint64_t>(n_groups) * kk;
         inter_sum = static_cast<std::uint64_t>(n_groups) * wd_sum;
+        x_stored = nxd_sum;
     } else {
         for (std::size_t ng = ng_begin; ng < ng_end; ++ng) {
+            RleEntryCounter entries(cfg.rleIndexBits);
             for (std::size_t k = 0; k < kk; ++k) {
-                if (x.hoMask(k, ng) == 0) {
+                const bool comp = x.hoMask(k, ng) != 0;
+                entries.add(comp);
+                if (!comp) {
                     ++nxd_sum;
                     inter_sum += w_counts.wcol[k];
                 }
             }
+            x_stored += entries.stored();
         }
     }
 
@@ -922,8 +930,8 @@ countStatsRange(const WeightOperand &w, const ActivationOperand &x,
         }
     }
 
-    countTraffic(local, w, x, m, kk, w_levels, x_levels, v, ng_begin,
-                 ng_end);
+    countTraffic(local, m, kk, w_levels, x_levels, n_groups * uv, cfg,
+                 w_counts.wStored, x_stored);
     return local;
 }
 
@@ -934,7 +942,9 @@ aqsCountStats(const WeightOperand &w, const ActivationOperand &x,
               const AqsConfig &cfg, std::size_t ng_begin,
               std::size_t ng_end)
 {
-    return aqsCountStats(w, x, cfg, buildWeightCountingCache(w, cfg.v),
+    return aqsCountStats(w, x, cfg,
+                         buildWeightCountingCache(w, cfg.v,
+                                                  cfg.rleIndexBits),
                          ng_begin, ng_end);
 }
 
@@ -950,9 +960,7 @@ aqsCountStats(const WeightOperand &w, const ActivationOperand &x,
         ng_end = n_groups_all;
     panic_if(ng_begin > ng_end, "aqsCountStats range [", ng_begin, ", ",
              ng_end, ") is inverted");
-    panic_if(wcache.wcol.size() != w.sliced.cols(),
-             "weight counting cache covers ", wcache.wcol.size(),
-             " steps, operand has ", w.sliced.cols());
+    checkWeightCountingCache(w, cfg, wcache);
     return countStatsRange(w, x, cfg, wcache, ng_begin, ng_end);
 }
 
@@ -961,9 +969,9 @@ aqsCountStatsBatch(const WeightOperand &w, const ActivationOperand &x,
                    const AqsConfig &cfg,
                    std::span<const std::size_t> group_offsets)
 {
-    return aqsCountStatsBatch(w, x, cfg,
-                              buildWeightCountingCache(w, cfg.v),
-                              group_offsets);
+    return aqsCountStatsBatch(
+        w, x, cfg, buildWeightCountingCache(w, cfg.v, cfg.rleIndexBits),
+        group_offsets);
 }
 
 std::vector<AqsStats>
@@ -978,9 +986,7 @@ aqsCountStatsBatch(const WeightOperand &w, const ActivationOperand &x,
     const std::size_t n_groups_all = x.sliced.cols() / uv;
     panic_if(group_offsets.back() > n_groups_all,
              "aqsCountStatsBatch offsets exceed N/v=", n_groups_all);
-    panic_if(wcache.wcol.size() != w.sliced.cols(),
-             "weight counting cache covers ", wcache.wcol.size(),
-             " steps, operand has ", w.sliced.cols());
+    checkWeightCountingCache(w, cfg, wcache);
     std::vector<AqsStats> out;
     out.reserve(group_offsets.size() - 1);
     for (std::size_t i = 0; i + 1 < group_offsets.size(); ++i) {

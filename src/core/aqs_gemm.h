@@ -21,7 +21,9 @@
  * reported so Table I and the energy model can be validated against it.
  * The scalar reference tallies its counters in its loop nest; aqsGemm()
  * takes them from aqsCountStats(), which derives them from the HO masks
- * and RLE streams alone, so the blocked band itself counts nothing.
+ * alone, so the blocked band itself counts nothing. The RLE traffic
+ * terms count the entries the encoder of slicing/rle.h would store for
+ * each mask row or column (RleEntryCounter); no stream is built.
  *
  * Determinism guarantees (enforced by tests/test_kernel_parity.cpp):
  * aqsGemm() returns results AND statistics bit-identical to
@@ -38,7 +40,7 @@
 #include <span>
 #include <vector>
 
-#include "slicing/rle.h"
+#include "slicing/slice_types.h"
 #include "slicing/slice_tensor.h"
 #include "util/matrix.h"
 
@@ -62,25 +64,22 @@ struct AqsConfig
     int rleIndexBits = 4;    ///< RLE skip-index width
     ActSkipMode actSkip = ActSkipMode::RValued;
     bool useEq6 = true;      ///< weight-reusing compensation (Eq. (6))
-    bool skipWeightVectors = true; ///< compress all-zero weight HO vectors
 };
 
 /** Prepared (sliced + compressed) weight operand. */
 struct WeightOperand
 {
-    SlicedMatrix sliced;            ///< SBR planes, low to high
-    MatrixI32 totalCodes;           ///< reconstructed codes (for CS reuse)
-    MatrixU8 hoMask;                ///< (M/v) x K, 1 = compressed vector
-    std::vector<RleStream> streams; ///< HO plane RLE, one per row band
+    SlicedMatrix sliced;  ///< SBR planes, low to high
+    MatrixI32 totalCodes; ///< reconstructed codes (for CS reuse)
+    MatrixU8 hoMask;      ///< (M/v) x K, 1 = all-zero HO vector
 };
 
 /** Prepared (sliced + compressed) activation operand. */
 struct ActivationOperand
 {
-    SlicedMatrix sliced;            ///< unsigned planes, low to high
-    Slice r = 0;                    ///< frequent HO slice (skip value)
-    MatrixU8 hoMask;                ///< K x (N/v), 1 = compressed vector
-    std::vector<RleStream> streams; ///< HO plane RLE, one per column band
+    SlicedMatrix sliced; ///< unsigned planes, low to high
+    Slice r = 0;         ///< frequent HO slice (skip value)
+    MatrixU8 hoMask;     ///< K x (N/v), 1 = compressed vector
     /**
      * u8 step-quad copies of the slice planes, [level][n-group][quad][4v]
      * (1 byte per activation per level, tail steps zero), with
@@ -149,8 +148,8 @@ struct AqsStats
 };
 
 /**
- * Prepare a weight operand: SBR-slice the codes, build the HO
- * compression mask and RLE streams.
+ * Prepare a weight operand: SBR-slice the codes and build the HO
+ * compression mask (1 on every all-zero HO vector).
  *
  * @param codes symmetric weight codes, (3n+4)-bit
  * @param n     number of LO slices
@@ -226,9 +225,8 @@ MatrixI64 blockedGemm(const SlicedMatrix &w, const MatrixU8 &w_mask,
  * Concatenate prepared activation operands along the column (token)
  * axis: the batch-assembly primitive of the serving runtime
  * (src/serve/). Every structure of an ActivationOperand is
- * column-blocked (slice planes, HO mask, per-column-band RLE streams,
- * the quad kernel operand), so concatenation is pure block
- * copies - no re-slicing, no re-encoding - and the result is
+ * column-blocked (slice planes, HO mask, the quad kernel operand), so
+ * concatenation is pure block copies - no re-slicing - and the result is
  * byte-identical to preparing the concatenated codes directly.
  *
  * Preconditions: all operands prepared by the same layer/configuration
@@ -252,9 +250,9 @@ concatActivationOperands(std::span<const ActivationOperand *const> ops,
  * Counting-only twin of aqsGemm() restricted to the output column
  * groups [ng_begin, ng_end): returns the exact statistics a GEMM over
  * just those activation columns would record, without executing any
- * arithmetic. Statistics depend only on the HO masks and RLE streams
- * (never on operand values), so this is O(M/v * K + K * groups) mask
- * counting instead of a GEMM.
+ * arithmetic. Statistics depend only on the HO masks (never on operand
+ * values), so this is O(M/v * K + K * groups) mask counting instead of
+ * a GEMM.
  *
  * Invariants (enforced by tests/test_operand_reuse.cpp):
  *  - full range: bit-equal to the stats aqsGemm()/aqsGemmReference()
@@ -287,25 +285,30 @@ aqsCountStatsBatch(const WeightOperand &w, const ActivationOperand &x,
 /**
  * The weight-side summary the counting entry points derive from an HO
  * compression mask: total dense (uncompressed) steps over all m-bands,
- * and the per-step column density the HO_w x HO_x intersection term
- * reads. It depends only on the prepared WeightOperand and v - never
- * on any activation - so a long-lived layer (the serving runtime's
- * ServedModel) computes it once and every micro-batch reuses it
- * instead of re-scanning the O(M/v * K) mask per call.
+ * the per-step column density the HO_w x HO_x intersection term reads,
+ * and the RLE entries the m-bands' HO streams store at one index width.
+ * It depends only on the prepared WeightOperand, v and the index width
+ * - never on any activation - so a long-lived layer (the serving
+ * runtime's ServedModel) computes it once and every micro-batch reuses
+ * it instead of re-scanning the O(M/v * K) mask per call.
  */
 struct WeightCountingCache
 {
     std::uint64_t wdSum = 0;            ///< dense steps over all m-bands
     std::vector<std::uint32_t> wcol;    ///< per step k: dense m-band count
+    std::uint64_t wStored = 0;          ///< HO RLE entries, all m-bands
+    int indexBits = defaultRleIndexBits; ///< RLE index width counted
 };
 
 /** Scan w.hoMask once; see WeightCountingCache. */
-WeightCountingCache buildWeightCountingCache(const WeightOperand &w, int v);
+WeightCountingCache
+buildWeightCountingCache(const WeightOperand &w, int v,
+                         int index_bits = defaultRleIndexBits);
 
 /**
  * aqsCountStats() with a precomputed weight-side scan: bit-equal to the
- * scanning overload for a cache built from the same operand and v
- * (enforced by tests/test_operand_reuse.cpp).
+ * scanning overload for a cache built from the same operand, v and
+ * cfg.rleIndexBits (enforced by tests/test_operand_reuse.cpp).
  */
 AqsStats aqsCountStats(const WeightOperand &w, const ActivationOperand &x,
                        const AqsConfig &cfg,

@@ -303,11 +303,13 @@ GenerationScheduler::submitStep(Active &a, MatrixF input,
     if (phase == RequestPhase::Decode)
         ex.prepared = std::make_shared<const ActivationOperand>(
             a.model->prepareInput(input));
+    // Notify under the lock: once the pump sees the id it may retire
+    // the last generation, and ~GenerationScheduler may destroy
+    // pumpCv_; holding mutex_ keeps both waiting until this hook is
+    // done with the condition variable.
     ex.onReady = [this, id = a.id] {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ready_.push_back(id);
-        }
+        std::lock_guard<std::mutex> lock(mutex_);
+        ready_.push_back(id);
         pumpCv_.notify_all();
     };
     a.inflight = engine_.submit(a.model, std::move(input), std::move(ex));

@@ -10,7 +10,6 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <type_traits>
 #include <unistd.h>
 #include <utility>
 #include <vector>
@@ -27,19 +26,6 @@ namespace {
 
 constexpr char kMagic[4] = {'P', 'N', 'C', 'M'};
 
-// The format stores RleEntry sections as raw entry structs so the
-// loader can view them in place. That is only sound while the on-disk
-// layout {u16 skip, 2 zero bytes, u32 vectorIndex} IS the in-memory
-// layout; these asserts pin it (x86-64, the engine's only target).
-// The writer canonicalizes the padding bytes to zero and the reader
-// rejects nonzero padding, so files stay byte-deterministic.
-static_assert(std::is_trivially_copyable_v<RleEntry>,
-              "RleEntry must be raw-viewable");
-static_assert(sizeof(RleEntry) == 8, "RleEntry on-disk layout changed");
-static_assert(offsetof(RleEntry, skip) == 0,
-              "RleEntry on-disk layout changed");
-static_assert(offsetof(RleEntry, vectorIndex) == 4,
-              "RleEntry on-disk layout changed");
 static_assert(sizeof(Slice) == 1, "Slice sections assume 1-byte slices");
 
 // --- Little-endian writer over a growing byte buffer -------------------
@@ -232,13 +218,6 @@ loadU64(const std::byte *p)
 }
 
 void
-storeU16(char *p, std::uint16_t v)
-{
-    for (int i = 0; i < 2; ++i)
-        p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-void
 storeU32(char *p, std::uint32_t v)
 {
     for (int i = 0; i < 4; ++i)
@@ -380,7 +359,6 @@ writePipelineOptions(Writer &w, const AqsPipelineOptions &o)
     w.i32(o.gemm.rleIndexBits);
     w.u32(static_cast<std::uint32_t>(o.gemm.actSkip));
     w.boolean(o.gemm.useEq6);
-    w.boolean(o.gemm.skipWeightVectors);
 }
 
 AqsPipelineOptions
@@ -402,7 +380,6 @@ readPipelineOptions(Reader &r)
     o.gemm.actSkip = r.enumVal<ActSkipMode>(
         "ActSkipMode", 0, static_cast<std::uint32_t>(ActSkipMode::None));
     o.gemm.useEq6 = r.boolean();
-    o.gemm.skipWeightVectors = r.boolean();
     return o;
 }
 
@@ -479,59 +456,52 @@ validateLayerShapes(const WeightOperand &op, const AqsPipelineOptions &opts,
     if (op.hoMask.rows() != m_groups || op.hoMask.cols() != kk)
         throw SerializeError(
             "compiled model weight HO mask has wrong shape");
-    if (op.streams.size() != m_groups)
-        throw SerializeError("compiled model weight stream count " +
-                             std::to_string(op.streams.size()) +
-                             " != m-band count " +
-                             std::to_string(m_groups));
-    for (const RleStream &s : op.streams)
-        if (s.totalCount() != kk || s.vlen() != opts.gemm.v ||
-            s.indexBits() != opts.gemm.rleIndexBits)
-            throw SerializeError(
-                "compiled model weight stream disagrees with layer "
-                "shape");
 }
 
 /**
  * Bulk-byte checks, in one pass over the plane bytes: every weight
- * slice and RLE payload lies in SBR's [-8, 7] (the quad kernels'
- * |w| <= 8 precondition), and the HO mask marks only all-zero HO
- * vectors - the band lists a compressed vector's quads away, so a
- * nonzero one would make listed and streamed passes disagree.
+ * slice lies in SBR's [-8, 7] (the quad kernels' |w| <= 8
+ * precondition), and the HO mask is exactly the zero-vector mask of
+ * the HO plane (1 on every all-zero v x 1 vector, 0 elsewhere). The
+ * band lists a compressed vector's quads away, so a bit on a nonzero
+ * vector would make listed and streamed passes disagree; and every
+ * traffic counter is derived from the mask, so a bit cleared on a
+ * zero vector would change the statistics silently.
  * Preconditions: validateLayerShapes passed.
  */
 void
 validateWeightBytes(const WeightOperand &op, int v)
 {
-    const auto out_of_range = [](Slice s) {
-        return s < signedSliceMin || s > signedSliceMax;
-    };
     const std::size_t levels = op.sliced.levels();
     const std::size_t uv = static_cast<std::size_t>(v);
+    // Per step k: whether the current m-band's HO vector has a nonzero
+    // slice so far.
+    std::vector<std::uint8_t> nonzero(op.hoMask.cols(), 0);
     for (std::size_t l = 0; l < levels; ++l) {
         const Matrix<Slice> &plane = op.sliced.planes[l].data;
         const bool ho = l + 1 == levels;
         for (std::size_t row = 0; row < plane.rows(); ++row) {
             const Slice *src = plane.row(row).data();
-            const std::uint8_t *mask = op.hoMask.row(row / uv).data();
             for (std::size_t k = 0; k < plane.cols(); ++k) {
-                if (out_of_range(src[k]))
+                if (src[k] < signedSliceMin || src[k] > signedSliceMax)
                     throw SerializeError(
                         "compiled model weight slice " +
                         std::to_string(src[k]) + " outside [-8, 7]");
-                if (ho && src[k] != 0 && mask[k] != 0)
+                if (ho)
+                    nonzero[k] |= src[k] != 0;
+            }
+            if (!ho || (row + 1) % uv != 0)
+                continue;
+            const std::uint8_t *mask = op.hoMask.row(row / uv).data();
+            for (std::size_t k = 0; k < plane.cols(); ++k) {
+                if (mask[k] != (nonzero[k] ? 0 : 1))
                     throw SerializeError(
-                        "compiled model HO mask compresses a nonzero "
-                        "weight vector");
+                        "compiled model weight HO mask is not the "
+                        "zero-vector mask of the HO plane");
+                nonzero[k] = 0;
             }
         }
     }
-    for (const RleStream &s : op.streams)
-        for (Slice p : s.payloads())
-            if (out_of_range(p))
-                throw SerializeError("compiled model RLE payload slice " +
-                                     std::to_string(p) +
-                                     " outside [-8, 7]");
 }
 
 /** Shared model-level decode head: key/spec/options + fingerprint. */
@@ -642,7 +612,7 @@ validateLayerBits(const ModelHead &head, std::size_t layer,
 // --- Sectioned, zero-copy encode/decode -------------------------------
 
 constexpr std::size_t kHeaderBytes = 32; ///< magic..sectionCount
-constexpr std::size_t kSectionsPerLayer = 6;
+constexpr std::size_t kSectionsPerLayer = 4;
 constexpr std::uint64_t kChecksumFrom = 24; ///< sectionCount onward
 
 std::uint64_t
@@ -664,10 +634,7 @@ struct LayerBulkSizes
     std::uint64_t planes = 0;
     std::uint64_t codes = 0;
     std::uint64_t mask = 0;
-    std::uint64_t entries = 0;
-    std::uint64_t payloads = 0;
     std::uint64_t bias = 0;
-    std::uint64_t stored = 0; ///< total entries across streams
 };
 
 } // namespace
@@ -690,18 +657,13 @@ writeServedModel(std::ostream &out, const ServedModel &model)
         b.codes = elems * sizeof(std::int32_t);
         b.mask = static_cast<std::uint64_t>(op.hoMask.rows()) *
                  op.hoMask.cols();
-        for (const RleStream &s : op.streams) {
-            b.stored += s.storedCount();
-            b.payloads += s.payloads().size();
-        }
-        b.entries = b.stored * sizeof(RleEntry);
         b.bias = model.layer(i).foldedBias().size() *
                  sizeof(std::int64_t);
     }
 
     // META: the scalar stream. Bulk payloads are referenced by section
     // index; with canonical ordering, layer i's sections start at
-    // 1 + 6*i.
+    // 1 + 4*i.
     Writer meta;
     meta.str(model.key());
     writeModelSpec(meta, model.spec());
@@ -733,18 +695,8 @@ writeServedModel(std::ostream &out, const ServedModel &model)
         meta.u64(op.hoMask.rows());
         meta.u64(op.hoMask.cols());
         meta.u64(base + 2);
-        meta.u64(op.streams.size());
-        for (const RleStream &s : op.streams) {
-            meta.u64(s.totalCount());
-            meta.u8(static_cast<std::uint8_t>(s.fill()));
-            meta.i32(s.vlen());
-            meta.i32(s.indexBits());
-            meta.u64(s.storedCount());
-        }
-        meta.u64(base + 3);
-        meta.u64(base + 4);
         meta.u64(layer.foldedBias().size());
-        meta.u64(base + 5);
+        meta.u64(base + 3);
     }
 
     // Lay the sections out: directory right after the header, every
@@ -763,9 +715,7 @@ writeServedModel(std::ostream &out, const ServedModel &model)
         place(base + 0, bulk[i].planes);
         place(base + 1, bulk[i].codes);
         place(base + 2, bulk[i].mask);
-        place(base + 3, bulk[i].entries);
-        place(base + 4, bulk[i].payloads);
-        place(base + 5, bulk[i].bias);
+        place(base + 3, bulk[i].bias);
     }
     const std::uint64_t file_size = cursor;
 
@@ -798,25 +748,9 @@ writeServedModel(std::ostream &out, const ServedModel &model)
                     op.totalCodes.size() * sizeof(std::int32_t));
         std::memcpy(buf.data() + sections[base + 2].offset,
                     op.hoMask.data().data(), op.hoMask.size());
-
-        // Entries are written field-by-field so the two struct padding
-        // bytes are canonically zero whatever the in-memory garbage.
-        p = buf.data() + sections[base + 3].offset;
-        char *q = buf.data() + sections[base + 4].offset;
-        for (const RleStream &s : op.streams) {
-            for (const RleEntry &e : s.entries()) {
-                storeU16(p, e.skip);
-                storeU16(p + 2, 0);
-                storeU32(p + 4, e.vectorIndex);
-                p += sizeof(RleEntry);
-            }
-            std::memcpy(q, s.payloads().data(), s.payloads().size());
-            q += s.payloads().size();
-        }
-
         const std::span<const std::int64_t> bias =
             model.layer(i).foldedBias();
-        std::memcpy(buf.data() + sections[base + 5].offset, bias.data(),
+        std::memcpy(buf.data() + sections[base + 3].offset, bias.data(),
                     bias.size() * sizeof(std::int64_t));
     }
 
@@ -834,7 +768,7 @@ namespace {
 /**
  * Decode a whole file image IN PLACE: every validation (declared
  * size, striped checksum, directory bounds/alignment, shapes, bit
- * widths and plane shifts, RLE chains and padding, folded-bias range)
+ * widths and plane shifts, slice range and HO mask, folded-bias range)
  * runs before a single view is created, and the
  * views the model keeps point into `data` - which `owner` (a
  * MappedFile or an arena-held copy) must keep alive.
@@ -899,7 +833,7 @@ decodeSections(const std::byte *data, std::size_t size,
     if (section_count != 1 + kSectionsPerLayer * head.layerCount)
         throw SerializeError("compiled model section count " +
                              std::to_string(section_count) +
-                             " != 1 + 6 x layer count " +
+                             " != 1 + 4 x layer count " +
                              std::to_string(head.layerCount));
 
     std::vector<AqsLinearLayer> layers;
@@ -974,89 +908,12 @@ decodeSections(const std::byte *data, std::size_t size,
             throw SerializeError(
                 "compiled model HO mask section size mismatch");
 
-        const std::uint64_t stream_count = r.u64();
-        struct StreamHead
-        {
-            std::uint64_t total;
-            Slice fill;
-            std::int32_t vlen;
-            std::int32_t indexBits;
-            std::uint64_t stored;
-        };
-        std::vector<StreamHead> stream_heads;
-        r.need(Reader::checkedMul(stream_count, 25));
-        stream_heads.reserve(stream_count);
-        std::uint64_t total_stored = 0;
-        std::uint64_t total_payload = 0;
-        for (std::uint64_t s = 0; s < stream_count; ++s) {
-            StreamHead h;
-            h.total = r.u64();
-            h.fill = static_cast<Slice>(r.u8());
-            h.vlen = r.i32();
-            h.indexBits = r.i32();
-            h.stored = r.u64();
-            if (h.vlen <= 0 || h.vlen > 4096)
-                throw SerializeError("compiled model RLE vlen " +
-                                     std::to_string(h.vlen) +
-                                     " out of range");
-            if (h.indexBits <= 0 || h.indexBits > 16)
-                throw SerializeError("compiled model RLE index bits " +
-                                     std::to_string(h.indexBits) +
-                                     " out of range");
-            if (h.stored > h.total)
-                throw SerializeError(
-                    "compiled model RLE stored count exceeds sequence");
-            total_stored += h.stored;
-            total_payload += Reader::checkedMul(
-                h.stored, static_cast<std::size_t>(h.vlen));
-            stream_heads.push_back(h);
-        }
-        const SectionRange &entries_sec =
-            sectionAt(r.u64(), "RLE entries");
-        if (entries_sec.size !=
-            Reader::checkedMul(total_stored, sizeof(RleEntry)))
-            throw SerializeError(
-                "compiled model RLE entry section size mismatch");
-        const SectionRange &payloads_sec =
-            sectionAt(r.u64(), "RLE payloads");
-        if (payloads_sec.size != total_payload)
-            throw SerializeError(
-                "compiled model RLE payload section size mismatch");
-
         const std::uint64_t bias_len = r.u64();
         const SectionRange &bias_sec = sectionAt(r.u64(), "folded bias");
         if (bias_sec.size !=
             Reader::checkedMul(bias_len, sizeof(std::int64_t)))
             throw SerializeError(
                 "compiled model folded bias section size mismatch");
-
-        // Validate the RLE entry chains (and the canonical zero
-        // padding) BEFORE any views exist: the kernels iterate entries
-        // without re-checking, and decode() panics - not throws - on a
-        // broken chain.
-        const std::byte *ebytes = data + entries_sec.offset;
-        {
-            std::uint64_t e_at = 0;
-            for (const StreamHead &h : stream_heads) {
-                std::uint64_t cursor = 0;
-                for (std::uint64_t j = 0; j < h.stored; ++j) {
-                    const std::byte *e =
-                        ebytes + (e_at + j) * sizeof(RleEntry);
-                    const std::uint16_t skip =
-                        static_cast<std::uint16_t>(loadU32(e) & 0xffff);
-                    if ((loadU32(e) >> 16) != 0)
-                        throw SerializeError(
-                            "compiled model RLE entry padding not zero");
-                    const std::uint32_t index = loadU32(e + 4);
-                    cursor += skip;
-                    if (cursor != index || cursor >= h.total)
-                        throw SerializeError(
-                            "compiled model RLE entry chain broken");
-                    ++cursor;
-                }
-                e_at += h.stored;
-            }
-        }
 
         // All bytes validated - build the views.
         const auto *plane_base = reinterpret_cast<const Slice *>(
@@ -1078,22 +935,6 @@ decodeSections(const std::byte *data, std::size_t size,
             reinterpret_cast<const std::uint8_t *>(data +
                                                    mask_sec.offset),
             mask_rows, mask_cols);
-        const auto *entry_base =
-            reinterpret_cast<const RleEntry *>(data + entries_sec.offset);
-        const auto *payload_base = reinterpret_cast<const Slice *>(
-            data + payloads_sec.offset);
-        op.streams.reserve(stream_count);
-        std::uint64_t e_at = 0, p_at = 0;
-        for (const StreamHead &h : stream_heads) {
-            const std::uint64_t p_len = Reader::checkedMul(
-                h.stored, static_cast<std::size_t>(h.vlen));
-            op.streams.push_back(RleStream::restore(
-                ArenaVec<RleEntry>::view({entry_base + e_at, h.stored}),
-                ArenaVec<Slice>::view({payload_base + p_at, p_len}),
-                h.total, h.fill, h.vlen, h.indexBits));
-            e_at += h.stored;
-            p_at += p_len;
-        }
         validateLayerShapes(op, opts, bias_len);
         validateWeightBytes(op, opts.gemm.v);
         // Served layers fold no float bias, so each entry is -zp times

@@ -2,13 +2,13 @@
  * @file
  * Versioned binary serialization of prepared (compiled) models: the
  * on-disk operand format that makes the expensive AQS preparation
- * (calibration, SBR/DBS slicing, RLE + HO compression, folded bias) a
+ * (calibration, SBR/DBS slicing, HO compression masks, folded bias) a
  * deployable artifact instead of per-process warm-up work. A model
  * written by one process and read by another is behaviourally
  * byte-identical to the freshly built original - same outputs, same
  * AqsStats, at every ISA level.
  *
- * The format (version 2) is SECTIONED and ZERO-COPY. All bulk payloads
+ * The format (version 3) is SECTIONED and ZERO-COPY. All bulk payloads
  * live in 64-byte-aligned sections addressed by an offset directory,
  * laid out exactly as the kernels consume them, so the loader can mmap
  * the file read-only (util/mapped_file.h) and hand the operand structs
@@ -16,41 +16,44 @@
  * copies, and every process mapping the same file shares one set of
  * physical pages. Loading without mmap uses the identical view decode
  * over one 64-byte-aligned arena copy of the file image. Files of any
- * other version (including the retired copying v1 stream) are rejected
- * with SerializeError; the disk tier prunes and rebuilds them and the
+ * other version (the retired copying v1 stream, and v2, which also
+ * stored every weight HO plane's RLE streams) are rejected with
+ * SerializeError; the disk tier prunes and rebuilds them and the
  * sweep removes them as stale.
  *
  * File layout (all scalar fields little-endian):
  *
  *   offset  0  "PNCM"                magic
- *   offset  4  u32  format version   2
+ *   offset  4  u32  format version   3
  *   offset  8  u64  file size        must equal the real size; rejects
  *                                    truncation/trailing bytes before
  *                                    any payload is touched
  *   offset 16  u64  checksum         fnv1a64Striped over [24, size)
- *   offset 24  u64  section count    1 (META) + 6 per layer
+ *   offset 24  u64  section count    1 (META) + 4 per layer
  *   offset 32  directory             section count x {u64 offset,
  *                                    u64 size}; offsets 64-byte
  *                                    aligned, ascending, gaps zeroed
  *   ...        sections
  *
  * Section 0 is META: the scalar stream (cache key, ModelSpec,
- * ServeModelOptions, build ms, per-layer scalars/shapes/stream
- * headers) plus, for each bulk payload, the index of the section that
- * holds its bytes. Each layer owns six bulk sections, in canonical
- * order: slice planes, total codes (i32), HO mask (u8), RLE entries
- * ({u16 skip, u16 zero, u32 index} x stored, concatenated across the
- * layer's streams), RLE payloads (Slice), folded bias (i64). Bulk
- * bytes are raw element bytes, i.e. the host's layout - identical on
- * every x86-64 host, the only architecture the SIMD engine targets.
+ * ServeModelOptions, build ms, per-layer scalars and shapes) plus, for
+ * each bulk payload, the index of the section that holds its bytes.
+ * Each layer owns four bulk sections, in canonical order: slice planes,
+ * total codes (i32), HO mask (u8), folded bias (i64). No RLE stream is
+ * stored: the HO mask is the only input of the RLE traffic counters
+ * (core/aqs_gemm.h), and the loader checks that it is exactly the
+ * zero-vector mask of the HO plane. Bulk bytes are raw element bytes,
+ * i.e. the host's layout - identical on every x86-64 host, the only
+ * architecture the SIMD engine targets.
  *
  * SIGBUS / corruption discipline on the mapped path: the declared file
  * size, the striped checksum and every structural invariant (directory
- * bounds + alignment, shapes, RLE entry chains and padding, and every
- * bit width, plane shift and DBS LO width against what the build path
- * emits for the layer) are validated BEFORE any view is handed out, so
- * a truncated or bit-flipped file fails with SerializeError - it can
- * never surface later as a fault inside a kernel reading the mapping.
+ * bounds + alignment, shapes, slice ranges, the HO mask against the HO
+ * plane, and every bit width, plane shift and DBS LO width against
+ * what the build path emits for the layer) are validated BEFORE any
+ * view is handed out, so a truncated or bit-flipped file fails with
+ * SerializeError - it can never surface later as a fault inside a
+ * kernel reading the mapping.
  *
  * Every reader-side structural violation (bad magic, unsupported
  * version, checksum mismatch, truncation, out-of-range enum, trailing
@@ -83,7 +86,7 @@ class SerializeError : public std::runtime_error
 };
 
 /** Compiled-model format version (bumped on layout changes). */
-inline constexpr std::uint32_t kCompiledModelFormatVersion = 2;
+inline constexpr std::uint32_t kCompiledModelFormatVersion = 3;
 
 /** @return whether a reader of this build can load format version v. */
 inline constexpr bool
@@ -107,7 +110,7 @@ void writeServedModel(std::ostream &out, const ServedModel &model);
  * Deserialize a model; throws
  * SerializeError on any structural defect (see file header). The
  * returned model is immutable and ready to serve - no calibration,
- * slicing, RLE or HO work happens here. Stream loads always own their
+ * slicing or HO mask work happens here. Stream loads always own their
  * payloads (the views point into an arena copy of the file image); use
  * loadServedModel() for the mmap-backed path.
  */

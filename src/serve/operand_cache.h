@@ -1,7 +1,7 @@
 /**
  * @file
  * Keyed cache of prepared models: the serving layer's guarantee that
- * weight operands (SBR slices + RLE streams + HO masks) are built once
+ * weight operands (SBR slices + HO masks) are built once
  * per (model, options) and shared - across requests, engines and
  * repeated load() calls - instead of being re-prepared per call the
  * way the one-shot entry points do.

@@ -156,7 +156,8 @@ ServedModel::countCache(std::size_t i) const
 {
     std::call_once(countCacheOnce_[i], [this, i] {
         countCaches_[i] =
-            buildWeightCountingCache(layers_[i].weights(), opts_.v);
+            buildWeightCountingCache(layers_[i].weights(), opts_.v,
+                                     opts_.rleIndexBits);
     });
     return countCaches_[i];
 }
@@ -235,7 +236,7 @@ ServedModel::forwardPreparedStep(std::size_t layer_index,
 
     StepResult res;
     // Per-request statistics out of the one batched call: counting
-    // depends only on masks/streams, which are column-blocked, so
+    // depends only on the masks, which are column-blocked, so
     // each range's record equals a solo run's. The weight-side mask
     // scan comes from the per-layer cache, materialized once on first
     // use (countCache()).

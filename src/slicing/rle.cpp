@@ -27,8 +27,6 @@ RleStream::encode(std::span<const Slice> vectors, std::size_t num_vectors,
     const std::uint16_t max_skip =
         static_cast<std::uint16_t>((1u << index_bits) - 1);
 
-    std::vector<RleEntry> entries;
-    std::vector<Slice> payloads;
     std::uint16_t run = 0;
     for (std::size_t k = 0; k < num_vectors; ++k) {
         std::span<const Slice> vec =
@@ -46,40 +44,12 @@ RleStream::encode(std::span<const Slice> vectors, std::size_t num_vectors,
         RleEntry entry;
         entry.skip = run;
         entry.vectorIndex = static_cast<std::uint32_t>(k);
-        entries.push_back(entry);
-        payloads.insert(payloads.end(), vec.begin(), vec.end());
+        stream.entries_.push_back(entry);
+        stream.payloads_.insert(stream.payloads_.end(), vec.begin(),
+                                vec.end());
         run = 0;
     }
     // A trailing run needs no entry: the decoder pads to totalVectors_.
-    stream.entries_ = std::move(entries);
-    stream.payloads_ = std::move(payloads);
-    return stream;
-}
-
-RleStream
-RleStream::restore(ArenaVec<RleEntry> entries,
-                   ArenaVec<Slice> payloads, std::size_t total_vectors,
-                   Slice fill, int vlen, int index_bits)
-{
-    panic_if(vlen <= 0, "RLE vlen must be positive");
-    panic_if(index_bits <= 0 || index_bits > 16, "RLE index bits ",
-             index_bits, " out of (0,16]");
-    panic_if(payloads.size() !=
-                 entries.size() * static_cast<std::size_t>(vlen),
-             "RLE restore payload size ", payloads.size(), " != ",
-             entries.size(), "*", vlen);
-    for (const RleEntry &e : entries)
-        panic_if(e.vectorIndex >= total_vectors,
-                 "RLE restore entry index ", e.vectorIndex,
-                 " past sequence end ", total_vectors);
-
-    RleStream stream;
-    stream.entries_ = std::move(entries);
-    stream.payloads_ = std::move(payloads);
-    stream.totalVectors_ = total_vectors;
-    stream.fill_ = fill;
-    stream.vlen_ = vlen;
-    stream.indexBits_ = index_bits;
     return stream;
 }
 
@@ -131,6 +101,23 @@ RleStream::payload(std::size_t i) const
     panic_if(i >= entries_.size(), "RLE payload index out of range");
     return {payloads_.data() + i * static_cast<std::size_t>(vlen_),
             static_cast<std::size_t>(vlen_)};
+}
+
+RleEntryCounter::RleEntryCounter(int index_bits)
+{
+    panic_if(index_bits <= 0 || index_bits > 16, "RLE index bits ",
+             index_bits, " out of (0,16]");
+    maxSkip_ = (1u << index_bits) - 1;
+}
+
+std::uint64_t
+rleStoredCount(const std::uint8_t *flags, std::size_t count,
+               std::size_t stride, int index_bits)
+{
+    RleEntryCounter counter(index_bits);
+    for (std::size_t i = 0; i < count; ++i)
+        counter.add(flags[i * stride] != 0);
+    return counter.stored();
 }
 
 std::vector<RleStream>

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "slicing/slice_types.h"
-#include "util/arena.h"
 #include "util/matrix.h"
 
 namespace panacea {
@@ -51,23 +50,6 @@ class RleStream
     static RleStream encode(std::span<const Slice> vectors,
                             std::size_t num_vectors, int vlen, Slice fill,
                             int index_bits);
-
-    /**
-     * Rebuild a stream from its stored parts (entry metadata, payload
-     * slices, sequence length and encoding parameters) WITHOUT
-     * re-running the encoder: the deserialization entry point of the
-     * compiled-model format (serve/model_serialize.h). The parts must
-     * come from a stream encoded with the same parameters; restoring
-     * what encode() produced yields a byte-identical stream.
-     *
-     * @param entries      stored-entry metadata, in stream order
-     * @param payloads     entries.size() * vlen payload slices
-     * @param total_vectors original sequence length
-     */
-    static RleStream restore(ArenaVec<RleEntry> entries,
-                             ArenaVec<Slice> payloads,
-                             std::size_t total_vectors, Slice fill,
-                             int vlen, int index_bits);
 
     /** Reconstruct the full flattened vector sequence. */
     std::vector<Slice> decode() const;
@@ -104,15 +86,56 @@ class RleStream
     int indexBits() const { return indexBits_; }
 
   private:
-    // Own-or-view backing: encode() owns, the zero-copy loader views
-    // into the mapped compiled-model file (util/arena.h).
-    ArenaVec<RleEntry> entries_;
-    ArenaVec<Slice> payloads_;      ///< entries_.size() * vlen_ slices
+    std::vector<RleEntry> entries_;
+    std::vector<Slice> payloads_;   ///< entries_.size() * vlen_ slices
     std::size_t totalVectors_ = 0;
     Slice fill_ = 0;
     int vlen_ = defaultVectorLength;
     int indexBits_ = defaultRleIndexBits;
 };
+
+/**
+ * The stored-entry rule of RleStream::encode() over compressible flags
+ * alone, one stream at a time: add() one flag per vector in stream
+ * order. A compressible vector is elided while the current run is
+ * shorter than 2^index_bits - 1; past that budget it is stored and the
+ * run restarts; a trailing run stores nothing. stored() then equals
+ * the storedCount() of the encoded stream, without building it.
+ */
+class RleEntryCounter
+{
+  public:
+    explicit RleEntryCounter(int index_bits);
+
+    /** Account the next vector of the stream. */
+    void
+    add(bool compressible)
+    {
+        if (compressible && run_ < maxSkip_) {
+            ++run_;
+            return;
+        }
+        ++stored_;
+        run_ = 0;
+    }
+
+    /** @return stored entries of the stream so far. */
+    std::uint64_t stored() const { return stored_; }
+
+  private:
+    std::uint32_t maxSkip_ = 0;
+    std::uint32_t run_ = 0;
+    std::uint64_t stored_ = 0;
+};
+
+/**
+ * Stored-entry count of the RLE stream over count vectors whose
+ * compressible flags (nonzero = compressible) sit at flags[i * stride]:
+ * RleStream::encode(...).storedCount() from an HO mask row (stride 1)
+ * or column (stride = mask width), without encoding.
+ */
+std::uint64_t rleStoredCount(const std::uint8_t *flags, std::size_t count,
+                             std::size_t stride, int index_bits);
 
 /**
  * Encode a weight HO plane: one stream per v-row band, vectors are

@@ -4,11 +4,11 @@
  * owning arena plus an own-or-view vector.
  *
  * The compiled-model format (serve/model_serialize.h) lays every
- * bulk payload - slice planes, RLE entry/payload streams, HO masks,
- * folded bias - in 64-byte-aligned sections so a loader can hand the
- * kernels NON-OWNING views straight into the file image instead of
- * copying into per-structure vectors. The same operand structs
- * (Matrix, RleStream, AqsLinearLayer) must also keep working on the
+ * bulk payload - slice planes, total codes, HO masks, folded bias - in
+ * 64-byte-aligned sections so a loader can hand the kernels NON-OWNING
+ * views straight into the file image instead of copying into
+ * per-structure vectors. The same operand structs (Matrix,
+ * AqsLinearLayer) must also keep working on the
  * build path, where they own their storage. ArenaVec is that dual
  * backing:
  *

@@ -187,11 +187,18 @@ TEST(AqsGemm, NoneModeMatchesDenseCounts)
     Rng rng(18);
     MatrixI32 w = randomWeightCodes(rng, 16, 24, 1, 0.0);
     MatrixI32 x = randomActivationCodes(rng, 24, 8, 8, 130, 0.9);
+    // One code of magnitude 63 in every 4-row band and column gives
+    // each weight HO vector a nonzero slice, so nothing is compressed
+    // on the weight side either.
+    for (std::size_t g = 0; g < w.rows() / 4; ++g)
+        for (std::size_t k = 0; k < w.cols(); ++k)
+            w(4 * g, k) = (k % 2 == 0) ? 63 : -63;
 
     AqsConfig cfg;
     cfg.actSkip = ActSkipMode::None;
-    cfg.skipWeightVectors = false;
     WeightOperand w_op = prepareWeights(w, 1, cfg);
+    for (std::uint8_t bit : w_op.hoMask.data())
+        ASSERT_EQ(bit, 0);
     ActivationOperand x_op = prepareActivations(x, 1, 130, cfg);
     AqsStats stats;
     MatrixI64 acc = aqsGemm(w_op, x_op, cfg, &stats);

@@ -4,7 +4,7 @@
  * stay under its byte cap by least-recently-used pruning (disk hits
  * refresh recency, the newest entry always survives), the version
  * sweep must remove exactly the entries a reader would reject (stale
- * format versions - the retired v1 among them - and corrupt
+ * format versions - the retired v1 and v2 among them - and corrupt
  * envelopes) and nothing else, both through the library and through
  * the panacea_cache_sweep CLI, and a corrupt or retired-format file
  * must be PRUNED on a failed load and rebuilt - never served, never
@@ -234,6 +234,8 @@ TEST(CacheEviction, SweepRemovesStaleVersionsAndCorruptKeepsCurrent)
                            serve::kCompiledModelFormatVersion + 57));
     EXPECT_NE(serve::peekCompiledModelVersion(dir.file("stale.pncm")),
               serve::kCompiledModelFormatVersion);
+    // The retired v2 format (which also stored RLE streams) is stale.
+    writeBytes(dir.file("v2.pncm"), withVersion(readBytes(keep), 2));
 
     // A corrupt envelope and an unrelated file.
     writeBytes(dir.file("corrupt.pncm"), "not a compiled model");
@@ -241,12 +243,13 @@ TEST(CacheEviction, SweepRemovesStaleVersionsAndCorruptKeepsCurrent)
 
     const serve::CacheDirReport r =
         serve::sweepCompiledModelDir(dir.path.string());
-    EXPECT_EQ(r.scanned, 3u);
-    EXPECT_EQ(r.staleVersion, 1u);
+    EXPECT_EQ(r.scanned, 4u);
+    EXPECT_EQ(r.staleVersion, 2u);
     EXPECT_EQ(r.corrupt, 1u);
     EXPECT_EQ(r.evicted, 0u);
     EXPECT_TRUE(fs::exists(keep));
     EXPECT_FALSE(fs::exists(dir.file("stale.pncm")));
+    EXPECT_FALSE(fs::exists(dir.file("v2.pncm")));
     EXPECT_FALSE(fs::exists(dir.file("corrupt.pncm")));
     EXPECT_TRUE(fs::exists(dir.file("notes.txt")));
 }
@@ -257,17 +260,18 @@ TEST(CacheEviction, CorruptFileIsPrunedAndRebuiltNotLoaded)
     const ModelSpec spec = tinySpec("corrupt-rebuild");
     const std::string path = tierPath(dir, spec);
 
-    // A current entry re-labelled as the retired v1 format: its body
-    // is intact, but no reader loads that version any more.
+    // A current entry re-labelled as the retired v1 or v2 format: its
+    // body is intact, but no reader loads that version any more.
     {
         serve::PreparedModelCache seed;
         seed.setDiskDir(dir.path.string());
         seed.acquire(spec);
     }
     const std::string v1 = withVersion(readBytes(path), 1);
+    const std::string v2 = withVersion(readBytes(path), 2);
 
     for (const std::string &bytes :
-         {std::string("garbage that is definitely not a model"), v1}) {
+         {std::string("garbage that is definitely not a model"), v1, v2}) {
         writeBytes(path, bytes);
         serve::PreparedModelCache cache;
         cache.setDiskDir(dir.path.string());
@@ -284,8 +288,8 @@ TEST(CacheEviction, CorruptFileIsPrunedAndRebuiltNotLoaded)
 
 /**
  * The panacea_cache_sweep CLI end to end: on a directory holding a
- * current file, a forged version-1 envelope and a corrupt file it
- * exits 0, keeps the current file and removes the other two. CTest
+ * current file, forged version-1 and version-2 envelopes and a corrupt
+ * file it exits 0, keeps the current file and removes the other three. CTest
  * passes the tool's path in PANACEA_CACHE_SWEEP_BIN.
  */
 TEST(CacheEviction, SweepToolKeepsCurrentAndRemovesV1AndCorrupt)
@@ -302,6 +306,7 @@ TEST(CacheEviction, SweepToolKeepsCurrentAndRemovesV1AndCorrupt)
     const std::string keep = tierPath(dir, tinySpec("sweep-cli"));
     ASSERT_TRUE(fs::exists(keep));
     writeBytes(dir.file("v1.pncm"), withVersion(readBytes(keep), 1));
+    writeBytes(dir.file("v2.pncm"), withVersion(readBytes(keep), 2));
     writeBytes(dir.file("corrupt.pncm"), "not a compiled model");
 
     const std::string cmd = std::string("'") + tool + "' '" +
@@ -311,6 +316,7 @@ TEST(CacheEviction, SweepToolKeepsCurrentAndRemovesV1AndCorrupt)
     EXPECT_EQ(WEXITSTATUS(status), 0);
     EXPECT_TRUE(fs::exists(keep));
     EXPECT_FALSE(fs::exists(dir.file("v1.pncm")));
+    EXPECT_FALSE(fs::exists(dir.file("v2.pncm")));
     EXPECT_FALSE(fs::exists(dir.file("corrupt.pncm")));
     EXPECT_EQ(pncmCount(dir), 1u);
 }

@@ -8,7 +8,7 @@
  * in submission order, and no request ever observes a torn model -
  * every completed output equals exactly one version's reference,
  * never a mixture. Both versions are served from read-only mmapped
- * .pncm v2 files, the deployment artifact replicas actually share.
+ * .pncm files, the deployment artifact replicas actually share.
  */
 
 #include <gtest/gtest.h>
@@ -115,7 +115,7 @@ soloRun(Runtime &rt, const CompiledModel &model,
 }
 
 /** Two genuinely different versions of the SAME model name, both
- *  round-tripped through mmapped .pncm v2 files. */
+ *  round-tripped through mmapped .pncm files. */
 struct TwoVersions
 {
     TempDir dir;

@@ -16,8 +16,9 @@
  *  - fresh processes: two concurrent child processes that mmap the
  *    saved file serve outputs byte-identical to the in-process build;
  *  - hostile files: a checksum-restamped file with an out-of-range
- *    plane shift, an out-of-range slice byte or an HO mask bit on a
- *    nonzero weight vector is rejected at load, and seeded bit flips,
+ *    plane shift, an out-of-range slice byte, or an HO mask bit set on
+ *    a nonzero weight vector or cleared on an all-zero one is rejected
+ *    at load, and seeded bit flips,
  *    truncations and directory edits either throw SerializeError or
  *    load and serve without crashing.
  */
@@ -171,13 +172,13 @@ restampChecksum(std::string &bytes)
            fnv1a64Striped(bytes.data() + 24, bytes.size() - 24));
 }
 
-/** Forge a version-1 envelope: a current file with its version field
- *  set to the retired copying format's number. */
+/** Forge a retired envelope: a current file with its version field
+ *  set to `version` (1: the copying stream; 2: the sectioned format
+ *  that also stored RLE streams). */
 std::string
-forgeV1(std::string bytes)
+forgeVersion(std::string bytes, std::uint32_t version)
 {
-    const std::uint32_t v1 = 1;
-    std::memcpy(bytes.data() + 4, &v1, sizeof(v1));
+    std::memcpy(bytes.data() + 4, &version, sizeof(version));
     return bytes;
 }
 
@@ -292,12 +293,13 @@ TEST(ModelSerialize, VersionMagicChecksumAndTruncationAreRejected)
         bad[0] = 'X';
         expectRejected(bad, "magic");
     }
-    // Unknown format version, and the retired copying v1 format.
+    // Unknown format version, and the retired v1 and v2 formats.
     {
         std::string bad = good;
         bad[4] = static_cast<char>(bad[4] + 1);
         expectRejected(bad, "version");
-        expectRejected(forgeV1(good), "retired v1");
+        expectRejected(forgeVersion(good, 1), "retired v1");
+        expectRejected(forgeVersion(good, 2), "retired v2");
     }
     // Payload corruption -> checksum mismatch.
     {
@@ -382,7 +384,7 @@ TEST(ModelSerialize, DiskTierServesColdStartWithZeroBuilds)
     EXPECT_TRUE(runOnce(*rebuilt).output == ref.output);
 }
 
-TEST(ModelSerialize, V2SectionDirectoryIsAlignedAndCoversFile)
+TEST(ModelSerialize, SectionDirectoryIsAlignedAndCoversFile)
 {
     TempDir dir;
     const ModelSpec spec = tinySpec();
@@ -398,12 +400,12 @@ TEST(ModelSerialize, V2SectionDirectoryIsAlignedAndCoversFile)
     EXPECT_EQ(fieldU32(bytes, 4), kCompiledModelFormatVersion);
     EXPECT_EQ(fieldU64(bytes, 8), bytes.size());
 
-    // Directory: 1 META section + 6 bulk sections per layer, offsets
+    // Directory: 1 META section + 4 bulk sections per layer, offsets
     // 64-byte aligned, ascending, non-overlapping, in bounds, and the
     // last section ends exactly at the declared file size (no slack a
     // mapped reader could silently run past).
     const std::uint64_t sections = fieldU64(bytes, 24);
-    EXPECT_EQ(sections, 1u + 6u * model.layerCount());
+    EXPECT_EQ(sections, 1u + 4u * model.layerCount());
     const std::size_t dir_end = 32 + sections * 16;
     ASSERT_LT(dir_end, bytes.size());
     std::uint64_t prev_end = dir_end;
@@ -471,33 +473,36 @@ TEST(ModelSerialize, SweepKeepsEveryReadableVersion)
     opts.maxLayers = 1;
     const CompiledModel model = compileModel(spec, opts);
 
-    // One current artifact, a retired-v1 envelope, one from the
+    // One current artifact, retired v1 and v2 envelopes, one from the
     // future, one corrupt, one unrelated file.
-    saveCompiledModel(model, dir.file("v2.pncm"));
-    const std::string current = readFile(dir.file("v2.pncm"));
-    writeFile(dir.file("v1.pncm"), forgeV1(current));
+    saveCompiledModel(model, dir.file("current.pncm"));
+    const std::string current = readFile(dir.file("current.pncm"));
+    writeFile(dir.file("v1.pncm"), forgeVersion(current, 1));
+    writeFile(dir.file("v2.pncm"), forgeVersion(current, 2));
     std::string future = current;
     future[4] = static_cast<char>(future[4] + 55);
     writeFile(dir.file("future.pncm"), future);
     writeFile(dir.file("garbage.pncm"), "not a compiled model");
     writeFile(dir.file("notes.txt"), "ignored: wrong extension");
     EXPECT_THROW(loadCompiledModel(dir.file("v1.pncm")), SerializeError);
+    EXPECT_THROW(loadCompiledModel(dir.file("v2.pncm")), SerializeError);
 
     const serve::CacheDirReport report =
         serve::sweepCompiledModelDir(dir.path.string());
-    EXPECT_EQ(report.scanned, 4u);
-    EXPECT_EQ(report.staleVersion, 2u);
+    EXPECT_EQ(report.scanned, 5u);
+    EXPECT_EQ(report.staleVersion, 3u);
     EXPECT_EQ(report.corrupt, 1u);
     EXPECT_EQ(report.evicted, 0u);
 
-    // The sweep keeps the one readable version - v1 is stale like any
-    // other unreadable version - and ignores non-.pncm files.
-    EXPECT_TRUE(std::filesystem::exists(dir.file("v2.pncm")));
+    // The sweep keeps the one readable version - v1 and v2 are stale
+    // like any other unreadable version - and ignores non-.pncm files.
+    EXPECT_TRUE(std::filesystem::exists(dir.file("current.pncm")));
     EXPECT_FALSE(std::filesystem::exists(dir.file("v1.pncm")));
+    EXPECT_FALSE(std::filesystem::exists(dir.file("v2.pncm")));
     EXPECT_FALSE(std::filesystem::exists(dir.file("future.pncm")));
     EXPECT_FALSE(std::filesystem::exists(dir.file("garbage.pncm")));
     EXPECT_TRUE(std::filesystem::exists(dir.file("notes.txt")));
-    EXPECT_NO_THROW(loadCompiledModel(dir.file("v2.pncm")));
+    EXPECT_NO_THROW(loadCompiledModel(dir.file("current.pncm")));
 }
 
 /** Child mode of ConcurrentMappedLoadersMatchTheFreshBuild: the value
@@ -651,11 +656,13 @@ TEST(ModelSerialize, OutOfRangePlaneShiftIsRejectedAtLoad)
 
 /**
  * Bulk bytes the structural checks cannot see: a weight slice outside
- * SBR's [-8, 7] (which breaks the quad kernels' |w| <= 8 bound), and
- * an HO mask bit set on a nonzero weight vector (whose quads a listed
- * pass would skip). Each, checksum-restamped, must throw at load.
+ * SBR's [-8, 7] (which breaks the quad kernels' |w| <= 8 bound), an HO
+ * mask bit set on a nonzero weight vector (whose quads a listed pass
+ * would skip), and an HO mask bit cleared on an all-zero weight vector
+ * (the outputs stay exact, but every traffic counter is derived from
+ * the mask). Each, checksum-restamped, must throw at load.
  */
-TEST(ModelSerialize, OutOfRangeSliceAndMaskOnNonzeroVectorAreRejected)
+TEST(ModelSerialize, OutOfRangeSliceAndWrongHoMaskAreRejected)
 {
     TempDir dir;
     CompileOptions opts;
@@ -666,7 +673,7 @@ TEST(ModelSerialize, OutOfRangeSliceAndMaskOnNonzeroVectorAreRejected)
     saveCompiledModel(model, path);
     const std::string good = readFile(path);
     // Layer 0's sections follow META: slice planes (LO, then HO; M x K
-    // each), total codes, HO mask ((M/v) x K), RLE entries, payloads.
+    // each), total codes, HO mask ((M/v) x K), folded bias.
     const auto section_offset = [&](std::size_t s) {
         return static_cast<std::size_t>(fieldU64(good, 32 + 16 * s));
     };
@@ -684,21 +691,34 @@ TEST(ModelSerialize, OutOfRangeSliceAndMaskOnNonzeroVectorAreRejected)
     bad[planes] = 0x40;
     expectRejected(bad, "slice byte 0x40");
 
-    // A dense HO vector (some slice nonzero) gets its mask bit set.
+    // The first mask byte of an HO vector that is dense (some slice
+    // nonzero) or all-zero.
     const std::size_t ho = planes + m * kk;
-    std::size_t at = std::string::npos;
-    for (std::size_t g = 0; g < m / v && at == std::string::npos; ++g)
-        for (std::size_t k = 0; k < kk && at == std::string::npos; ++k) {
-            bool nonzero = false;
-            for (std::size_t i = 0; i < v; ++i)
-                nonzero = nonzero || good[ho + (g * v + i) * kk + k] != 0;
-            if (nonzero && good[mask + g * kk + k] == 0)
-                at = mask + g * kk + k;
-        }
-    ASSERT_NE(at, std::string::npos) << "no dense HO vector to mark";
+    const auto find_vector = [&](bool want_nonzero) {
+        for (std::size_t g = 0; g < m / v; ++g)
+            for (std::size_t k = 0; k < kk; ++k) {
+                bool nonzero = false;
+                for (std::size_t i = 0; i < v; ++i)
+                    nonzero = nonzero ||
+                              good[ho + (g * v + i) * kk + k] != 0;
+                if (nonzero == want_nonzero)
+                    return mask + g * kk + k;
+            }
+        return std::string::npos;
+    };
+    const std::size_t dense_at = find_vector(true);
+    ASSERT_NE(dense_at, std::string::npos) << "no dense HO vector";
+    ASSERT_EQ(good[dense_at], 0);
     bad = good;
-    bad[at] = 1;
+    bad[dense_at] = 1;
     expectRejected(bad, "mask bit on a nonzero vector");
+
+    const std::size_t zero_at = find_vector(false);
+    ASSERT_NE(zero_at, std::string::npos) << "no all-zero HO vector";
+    ASSERT_EQ(good[zero_at], 1);
+    bad = good;
+    bad[zero_at] = 0;
+    expectRejected(bad, "mask bit cleared on an all-zero vector");
 
     // The untouched image still loads.
     std::istringstream in(good);

@@ -16,6 +16,7 @@
 #include "core/legacy_gemm.h"
 #include "isa_guard.h"
 #include "pool_guard.h"
+#include "slicing/rle.h"
 #include "slicing/sbr.h"
 #include "slicing/slice_tensor.h"
 #include "slicing/straightforward.h"
@@ -145,19 +146,18 @@ TEST_P(OperandReuse, ConcatIsByteIdenticalToDirectPreparation)
     }
     EXPECT_EQ(cat.r, direct.r);
     EXPECT_TRUE(cat.hoMask == direct.hoMask);
-    ASSERT_EQ(cat.streams.size(), direct.streams.size());
-    for (std::size_t s = 0; s < direct.streams.size(); ++s) {
-        EXPECT_EQ(cat.streams[s].storedCount(),
-                  direct.streams[s].storedCount());
-        EXPECT_EQ(cat.streams[s].encodedBits(),
-                  direct.streams[s].encodedBits());
-        EXPECT_EQ(cat.streams[s].decode(), direct.streams[s].decode());
-    }
     EXPECT_EQ(cat.quadPlanes, direct.quadPlanes);
 
-    // And the GEMM sees no difference.
+    // Every column band counts the same statistics (its RLE traffic
+    // included) in both operands.
     MatrixI32 w_codes = randomWeightCodes(rng, m, kk, 1);
     WeightOperand w = prepareWeights(w_codes, 1, cfg);
+    const std::size_t groups = direct.sliced.cols() / cfg.v;
+    for (std::size_t g = 0; g < groups; ++g)
+        expectStatsEqual(aqsCountStats(w, cat, cfg, g, g + 1),
+                         aqsCountStats(w, direct, cfg, g, g + 1));
+
+    // And the GEMM sees no difference.
     AqsStats s_cat, s_direct;
     EXPECT_TRUE(aqsGemm(w, cat, cfg, &s_cat) ==
                 aqsGemm(w, direct, cfg, &s_direct));
@@ -291,7 +291,8 @@ TEST_P(OperandReuse, PrecomputedWeightCountingCacheIsBitEqual)
     MatrixI32 x_codes = randomActivationCodes(rng, kk, 12, 8, zp);
     ActivationOperand x = prepareActivations(x_codes, 1, zp, cfg);
 
-    const WeightCountingCache wcache = buildWeightCountingCache(w, cfg.v);
+    const WeightCountingCache wcache =
+        buildWeightCountingCache(w, cfg.v, cfg.rleIndexBits);
     expectStatsEqual(aqsCountStats(w, x, cfg, wcache),
                      aqsCountStats(w, x, cfg));
     expectStatsEqual(aqsCountStats(w, x, cfg, wcache, 1, 3),
@@ -305,6 +306,61 @@ TEST_P(OperandReuse, PrecomputedWeightCountingCacheIsBitEqual)
     ASSERT_EQ(cached.size(), scanned.size());
     for (std::size_t i = 0; i < cached.size(); ++i)
         expectStatsEqual(cached[i], scanned[i]);
+}
+
+TEST_P(OperandReuse, RleTrafficEqualsTheEncodersStoredEntries)
+{
+    // The RLE traffic counters are derived from the HO masks alone;
+    // they must equal what the streams RleStream::encode() builds from
+    // the HO planes would store - weights with fill 0, activations with
+    // the mode's skip value (r, 0, or -1, which no unsigned slice
+    // matches) - at every index width, for SBR and DBS activations.
+    const ModeCase pc = GetParam();
+    Rng rng(816);
+    const std::size_t m = 16, kk = 40;
+    const std::int32_t zp = 141;
+    MatrixI32 w_codes = randomWeightCodes(rng, m, kk, 1, 0.8);
+    MatrixI32 x_codes = randomActivationCodes(rng, kk, 12, 8, zp, 0.9);
+    for (int bits : {1, 2, 3, 4, 8, 16}) {
+        AqsConfig cfg;
+        cfg.actSkip = pc.mode;
+        cfg.useEq6 = pc.useEq6;
+        cfg.rleIndexBits = bits;
+        const WeightOperand w = prepareWeights(w_codes, 1, cfg);
+        const ActivationOperand xs[] = {
+            prepareActivations(x_codes, 1, zp, cfg),
+            // DBS l = 5: the HO slice of zp is zp >> 5.
+            prepareActivationsDbs(x_codes, 5, static_cast<Slice>(zp >> 5),
+                                  cfg)};
+        std::uint64_t w_stored = 0;
+        for (const RleStream &st :
+             encodeWeightPlane(w.sliced.hoPlane().data, cfg.v, bits))
+            w_stored += st.storedCount();
+        for (const ActivationOperand &x : xs) {
+            const Slice fill = pc.mode == ActSkipMode::RValued ? x.r
+                               : pc.mode == ActSkipMode::ZeroOnly
+                                   ? Slice{0}
+                                   : Slice{-1};
+            std::uint64_t x_stored = 0;
+            for (const RleStream &st : encodeActivationPlane(
+                     x.sliced.hoPlane().data, cfg.v, fill, bits))
+                x_stored += st.storedCount();
+            const std::uint64_t lo_w = m * kk * (w.sliced.levels() - 1);
+            const std::uint64_t lo_x =
+                kk * x.sliced.cols() * (x.sliced.levels() - 1);
+            for (const AqsStats &st :
+                 {aqsCountStats(w, x, cfg), [&] {
+                      AqsStats ref;
+                      aqsGemmReference(w, x, cfg, &ref);
+                      return ref;
+                  }()}) {
+                EXPECT_EQ(st.wIndexBits, w_stored * bits) << bits;
+                EXPECT_EQ(st.xIndexBits, x_stored * bits) << bits;
+                EXPECT_EQ(st.wNibbles, lo_w + w_stored * cfg.v) << bits;
+                EXPECT_EQ(st.xNibbles, lo_x + x_stored * cfg.v) << bits;
+            }
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

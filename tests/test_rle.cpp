@@ -2,7 +2,8 @@
  * @file
  * Run-length encoding tests (paper Fig. 7(a)): round trips, the skip
  * budget of w-bit indices, verbatim storage of over-budget runs,
- * trailing-run elision and traffic accounting.
+ * trailing-run elision and traffic accounting, and the mask-only entry
+ * count (rleStoredCount) against the encoder at every index width.
  */
 
 #include <gtest/gtest.h>
@@ -117,6 +118,77 @@ TEST(Rle, ActivationPlaneStreams)
     EXPECT_EQ(streams[0].storedCount(), 1u);
     EXPECT_EQ(streams[0].entries()[0].vectorIndex, 1u);
     EXPECT_EQ(streams[1].storedCount(), 0u);
+}
+
+/**
+ * Encode one flag row (vlen 4, fill 5; a stored vector differs from the
+ * fill in one slice) and check rleStoredCount() on it twice: as a
+ * contiguous row, and as column 1 of a 3-wide matrix whose other
+ * columns hold the inverted flags.
+ */
+void
+expectCountMatchesEncoder(const std::vector<std::uint8_t> &flags,
+                          int index_bits)
+{
+    const Slice fill = 5;
+    std::vector<Slice> vectors(flags.size() * 4, fill);
+    std::vector<std::uint8_t> strided(flags.size() * 3);
+    for (std::size_t i = 0; i < flags.size(); ++i) {
+        if (flags[i] == 0)
+            vectors[i * 4 + i % 4] = static_cast<Slice>(fill + 1);
+        strided[i * 3] = strided[i * 3 + 2] = flags[i] == 0;
+        strided[i * 3 + 1] = flags[i];
+    }
+    const std::uint64_t want =
+        RleStream::encode(vectors, flags.size(), 4, fill, index_bits)
+            .storedCount();
+    EXPECT_EQ(rleStoredCount(flags.data(), flags.size(), 1, index_bits),
+              want)
+        << "contiguous, " << index_bits << "-bit, " << flags.size()
+        << " vectors";
+    EXPECT_EQ(rleStoredCount(strided.data() + 1, flags.size(), 3,
+                             index_bits),
+              want)
+        << "strided, " << index_bits << "-bit, " << flags.size()
+        << " vectors";
+}
+
+TEST(Rle, StoredCountMatchesEncoderAtEveryIndexWidth)
+{
+    Rng rng(0x41e);
+    for (int bits = 1; bits <= 16; ++bits) {
+        const std::size_t budget = (std::size_t{1} << bits) - 1;
+        // Runs at, one past and two past the skip budget, each closed
+        // by a stored vector or left trailing, and repeated back to
+        // back.
+        for (std::size_t run : {budget, budget + 1, budget + 2}) {
+            std::vector<std::uint8_t> closed(run, 1);
+            closed.push_back(0);
+            expectCountMatchesEncoder(closed, bits);
+            expectCountMatchesEncoder(std::vector<std::uint8_t>(run, 1),
+                                      bits);
+            std::vector<std::uint8_t> lead_in{0, 1, 0};
+            lead_in.insert(lead_in.end(), run, 1);
+            expectCountMatchesEncoder(lead_in, bits);
+            std::vector<std::uint8_t> twice = closed;
+            twice.insert(twice.end(), closed.begin(), closed.end());
+            twice.insert(twice.end(), run, 1);
+            expectCountMatchesEncoder(twice, bits);
+        }
+        // All-compressible over several budgets, none-compressible, and
+        // the empty stream.
+        expectCountMatchesEncoder(
+            std::vector<std::uint8_t>(3 * budget + 7, 1), bits);
+        expectCountMatchesEncoder(std::vector<std::uint8_t>(97, 0), bits);
+        expectCountMatchesEncoder({}, bits);
+        // Seeded rows, dense to nearly all compressible.
+        for (double p : {0.2, 0.7, 0.95, 0.995}) {
+            std::vector<std::uint8_t> flags(2000);
+            for (auto &f : flags)
+                f = rng.bernoulli(p) ? 1 : 0;
+            expectCountMatchesEncoder(flags, bits);
+        }
+    }
 }
 
 TEST(RleDeath, SizeMismatch)

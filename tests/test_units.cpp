@@ -106,14 +106,8 @@ TEST(Compensator, MatchesAqsGemmCompensation)
     }
     std::vector<std::int64_t> comp = cs.finish(b_prime, r);
 
-    // Reference: difference between dense and skipped accumulators.
-    AqsConfig dense_cfg;
-    dense_cfg.actSkip = ActSkipMode::None;
-    dense_cfg.skipWeightVectors = false;
-    WeightOperand w_dense = prepareWeights(w, 1, dense_cfg);
-    ActivationOperand x_dense =
-        prepareActivations(x, 1, zp, dense_cfg);
-    MatrixI64 full = aqsGemm(w_dense, x_dense, dense_cfg);
+    // Reference: the dense product, from the plain integer GEMM.
+    const MatrixI64 full = intGemm(w, x);
 
     AqsConfig skip_nocomp = cfg;
     MatrixI64 with_comp = aqsGemm(w_op, x_op, skip_nocomp);
